@@ -280,6 +280,11 @@ module Sharded = Wip_concurrent.Sharded_store.Make (Wipdb.Store)
 let serve_cmd =
   let run dir addr port shards workers no_group_commit =
     let env = Wip_storage.Env.posix ~root:dir in
+    (match Wip_concurrent.Shard_layout.claim env ~name:"wipdb" ~shards with
+    | Ok () -> ()
+    | Error msg ->
+      prerr_endline ("serve: " ^ msg);
+      exit 1);
     let base =
       {
         Wipdb.Config.default with
@@ -343,8 +348,8 @@ let serve_cmd =
   let port = Arg.(value & opt int 7070 & info [ "port" ] ~docv:"PORT") in
   let shards =
     let doc =
-      "Number of key-range shards (must match across restarts of the same \
-       store directory)."
+      "Number of key-range shards. Recorded in the store directory on first \
+       use; a later start with a different count is refused."
     in
     Arg.(value & opt int 4 & info [ "shards" ] ~docv:"N" ~doc)
   in

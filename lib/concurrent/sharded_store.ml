@@ -1,4 +1,3 @@
-module Merge_iter = Wip_sstable.Merge_iter
 module Sync = Wip_util.Sync
 module Io_stats = Wip_storage.Io_stats
 module Intf = Wip_kv.Store_intf
@@ -563,40 +562,34 @@ module Make (S : Wip_kv.Store_intf.S) = struct
       (fun acc sh -> acc + Sync.with_lock sh.lock (fun () -> sh.inflight))
       0 t.shards
 
+  (* Ordered, limit-aware walk over the shards overlapping [\[lo, hi)]:
+     ascending from [lo]'s shard, each asked only for the entries still
+     missing, stopping once the limit is met or the next shard starts at or
+     past [hi]. Shard ranges are disjoint and every key is routed by
+     [shard_index], so the per-shard lists concatenate in key order.
+     [read i ~limit k] reads shard [i] and hands its entries to [k], which
+     continues the walk and returns the chunks collected so far. *)
+  let walk t ~lo ~hi ?limit read =
+    let n = Array.length t.shards in
+    let rec go i limit acc =
+      if limit = Some 0 || i >= n || String.compare t.shards.(i).lo hi >= 0
+      then acc
+      else
+        read i ~limit (fun entries ->
+            let left = Option.map (fun l -> l - List.length entries) limit in
+            go (i + 1) left (entries :: acc))
+    in
+    let limit = Option.map (max 0) limit in
+    if String.compare lo hi >= 0 || limit = Some 0 then []
+    else List.concat (List.rev (go (shard_index t lo) limit []))
+
+  (* Each shard's lock is taken when the walk reaches it and held until the
+     walk ends (the continuation runs inside it): locks grow in ascending
+     order and none is released before the last read, so the result is one
+     consistent cut, and a scan the first shard satisfies locks only it. *)
   let scan t ~lo ~hi ?limit () =
-    if String.compare lo hi >= 0 then []
-    else begin
-      let n = Array.length t.shards in
-      let i0 = shard_index t lo in
-      let rec last j =
-        if j + 1 < n && String.compare t.shards.(j + 1).lo hi < 0 then
-          last (j + 1)
-        else j
-      in
-      let i1 = last i0 in
-      (* Collect every shard's result while holding all overlapping locks:
-         a consistent cut — the merged result corresponds to one point in
-         time across shards, as if taken under a global snapshot. *)
-      let per_shard =
-        lock_range t i0 i1 (fun () ->
-            List.init (i1 - i0 + 1) (fun k ->
-                S.scan t.shards.(i0 + k).store ~lo ~hi ?limit ()))
-      in
-      (* Shard ranges are disjoint, so this is morally a concatenation, but
-         routing the streams through the k-way merge keeps the result sorted
-         even if a caller hands in shards whose ranges overlap the engine's
-         own boundaries imperfectly. The results are plain user-key pairs, so
-         merge on those directly — no internal-key wrapping. *)
-      let seqs = List.map List.to_seq per_shard in
-      (* lint: allow R7 — disjoint shard streams, no cross-shard view *)
-      let merged = Merge_iter.merge_by ~compare:String.compare seqs in
-      let merged =
-        match limit with
-        | Some l -> Seq.take (max 0 l) merged
-        | None -> merged
-      in
-      List.of_seq merged
-    end
+    walk t ~lo ~hi ?limit (fun i ~limit k ->
+        locked_shard t.shards.(i) (fun s -> k (S.scan s ~lo ~hi ?limit ())))
 
   (* ---------------------------------------------------------------- *)
   (* Pinned snapshots. One engine snapshot per shard, all acquired while
@@ -629,35 +622,11 @@ module Make (S : Wip_kv.Store_intf.S) = struct
     let i = shard_index t key in
     locked_shard t.shards.(i) (fun s -> S.get_at s key ~snapshot:snap.(i))
 
+  (* Unlike [scan], shards are locked one at a time: the pinned per-shard
+     snapshots already fix the cut. *)
   let scan_at t ~lo ~hi ?limit ~snapshot:(snap : snapshot) () =
-    if String.compare lo hi >= 0 then []
-    else begin
-      let n = Array.length t.shards in
-      let i0 = shard_index t lo in
-      let rec last j =
-        if j + 1 < n && String.compare t.shards.(j + 1).lo hi < 0 then
-          last (j + 1)
-        else j
-      in
-      let i1 = last i0 in
-      (* Unlike the unsnapshotted [scan], shards are visited one at a
-         time: the pinned per-shard snapshots already fix what each shard
-         may return, so holding all the locks across the collection would
-         buy nothing. *)
-      let per_shard =
-        List.init (i1 - i0 + 1) (fun k ->
-            let i = i0 + k in
-            locked_shard t.shards.(i) (fun s ->
-                S.scan_at s ~lo ~hi ?limit ~snapshot:snap.(i) ()))
-      in
-      let seqs = List.map List.to_seq per_shard in
-      (* lint: allow R7 — disjoint shard streams, no cross-shard view *)
-      let merged = Merge_iter.merge_by ~compare:String.compare seqs in
-      let merged =
-        match limit with
-        | Some l -> Seq.take (max 0 l) merged
-        | None -> merged
-      in
-      List.of_seq merged
-    end
+    walk t ~lo ~hi ?limit (fun i ~limit k ->
+        k
+          (locked_shard t.shards.(i) (fun s ->
+               S.scan_at s ~lo ~hi ?limit ~snapshot:snap.(i) ())))
 end

@@ -11,12 +11,14 @@
     Concurrency model:
 
     - every operation on one shard holds that shard's mutex;
-    - cross-shard [write_batch] and [scan] take the locks of all involved
-      shards in ascending shard order — the single canonical order used
-      everywhere, so no lock cycle can form. A multi-shard batch is atomic
-      per shard and isolated across shards (all locks are held while it
-      applies); a multi-shard scan is collected entirely under the locks,
-      yielding a consistent cut merged through {!Wip_sstable.Merge_iter};
+    - cross-shard [write_batch] and [scan] take the locks of the shards
+      they involve in ascending shard order — the single canonical order
+      used everywhere, so no lock cycle can form. A multi-shard batch is
+      atomic per shard and isolated across shards (all locks are held while
+      it applies). A scan walks the shards in key order, asking each only
+      for the entries still missing and stopping at the limit; it locks a
+      shard when it reaches it and releases nothing before its last read,
+      so the concatenated result is a consistent cut;
     - a pool of [pool_threads] worker domains (default 7, §IV-A) pulls
       per-shard maintenance work, each cycle serving the unclaimed shard
       with the largest {!Wip_kv.Store_intf.S.maintenance_pending} estimate
@@ -115,9 +117,13 @@ module Make (S : Wip_kv.Store_intf.S) : sig
 
   val scan :
     t -> lo:string -> hi:string -> ?limit:int -> unit -> (string * string) list
-  (** Merged across all shards overlapping [\[lo, hi)]; collected under all
-      of their locks, so the result is a consistent multi-shard cut. A
-      negative [limit] is clamped to 0. *)
+  (** Entries of [\[lo, hi)] in key order, at most [limit] of them. Shards
+      are visited in ascending order from [lo]'s shard, each asked only for
+      the entries still missing; the walk stops once [limit] is met or the
+      next shard starts at or past [hi]. A shard's lock is taken when the
+      walk reaches it and held until the walk ends, so the result is a
+      consistent multi-shard cut. A negative [limit] is clamped to 0;
+      [limit = 0] and [lo >= hi] return [\[\]] without locking anything. *)
 
   type snapshot
   (** A pinned multi-shard snapshot: one engine snapshot per shard, acquired
@@ -146,10 +152,11 @@ module Make (S : Wip_kv.Store_intf.S) : sig
     snapshot:snapshot ->
     unit ->
     (string * string) list
-  (** {!scan} as of the snapshot's cut. Shards are visited one at a time
-      (no cross-shard lock hold): the pinned per-shard snapshots alone make
-      the merged result a consistent cut, however long the scan takes and
-      whatever writes or compactions land meanwhile. *)
+  (** {!scan} as of the snapshot's cut, with the same ordered walk and
+      early exit. Shards are locked one at a time (no cross-shard lock
+      hold): the pinned per-shard snapshots alone make the result a
+      consistent cut, however long the scan takes and whatever writes or
+      compactions land meanwhile. *)
 
   val flush : t -> unit
 
