@@ -20,6 +20,7 @@ let () =
       ("iterator", Test_iterator.suite);
       ("sorted-view", Test_sorted_view.suite);
       ("snapshot", Test_snapshot.suite);
+      ("golden-io", Test_golden_io.suite);
       ("concurrent", Test_concurrent.suite);
       ("sharded", Test_sharded.suite);
       ("crash", Test_crash.suite);
