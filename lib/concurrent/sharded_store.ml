@@ -616,8 +616,6 @@ module Make (S : Wip_kv.Store_intf.S) = struct
         Sync.with_lock t.shards.(i).lock (fun () -> Intf.release s))
       snap
 
-  let snapshot_seqs (snap : snapshot) = Array.map Intf.snapshot_seq snap
-
   let get_at t key ~snapshot:(snap : snapshot) =
     let i = shard_index t key in
     locked_shard t.shards.(i) (fun s -> S.get_at s key ~snapshot:snap.(i))

@@ -138,9 +138,6 @@ module Make (S : Wip_kv.Store_intf.S) : sig
   val release : t -> snapshot -> unit
   (** Release every per-shard pin. Idempotent. *)
 
-  val snapshot_seqs : snapshot -> int64 array
-  (** The pinned sequence number of each shard, in shard order. *)
-
   val get_at : t -> string -> snapshot:snapshot -> string option
   (** {!get} as of the snapshot's cut. *)
 

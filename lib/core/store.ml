@@ -3,7 +3,7 @@ module Env = Wip_storage.Env
 module Io_stats = Wip_storage.Io_stats
 module Table = Wip_sstable.Table
 module Merge_iter = Wip_sstable.Merge_iter
-module Sorted_view = Wip_sstable.Sorted_view
+module Run_set = Wip_runset.Run_set
 module Memtable = Wip_memtable.Memtable
 module Wal = Wip_wal.Wal
 module Manifest = Wip_manifest.Manifest
@@ -21,23 +21,12 @@ type bucket = {
   read_counts : int array; (* per level, since last compaction of it *)
   mutable range_queries : int; (* since last flush; drives adaptivity; guarded_by: caller *)
   mutable next_structure : Memtable.structure; (* guarded_by: caller *)
-  (* REMIX-style sorted view over this bucket's current run set, with the
-     exact run array it was built against (the view names runs by index).
-     Built lazily by the first scan that finds enough runs, extended
-     incrementally at flush, dropped at every other run-set mutation
-     (compaction, split, merge, collapse, quarantine). A walk in flight
-     under a pinned snapshot keeps reading its captured runs through the
-     zombie registry even after the field here is invalidated. *)
-  mutable view : (Sorted_view.t * Table.meta array) option; (* guarded_by: caller *)
-}
-
-(* A table retired by compaction/split/merge while snapshots were live: the
-   file, its reader and its cached blocks stay usable until every snapshot
-   that could still be streaming it releases. [z_pinners] holds the ids of
-   the snapshots that were live at retirement time. *)
-type zombie = {
-  z_meta : Table.meta;
-  mutable z_pinners : int list; (* guarded_by: caller *)
+  (* Sorted view over this bucket's run set: built by the first scan that
+     finds enough runs, extended at flush, dropped at every other run-set
+     change (compaction, split, merge, collapse, quarantine). A walk in
+     flight under a pinned snapshot keeps reading its captured runs, which
+     stay alive as zombies. *)
+  view : Run_set.slot;
 }
 
 type t = {
@@ -45,9 +34,8 @@ type t = {
   env : Env.t;
   wal : Wal.t;
   manifest : Manifest.t;
+  runs : Run_set.t; (* tables, snapshots and zombies of every bucket *)
   mutable buckets : bucket array; (* sorted by lo; guarded_by: caller *)
-  readers : (string, Table.Reader.t) Hashtbl.t;
-  mutable next_file : int; (* guarded_by: caller *)
   mutable next_bucket_id : int; (* guarded_by: caller *)
   mutable seq : int64; (* guarded_by: caller *)
   mutable splits : int; (* guarded_by: caller *)
@@ -58,10 +46,6 @@ type t = {
   mutable health : Intf.health; (* guarded_by: caller *)
   mutable quarantined : (string * string) list; (* guarded_by: caller *)
       (* (file, detail) of tables renamed aside after corruption *)
-  cache : Wip_storage.Block_cache.t option;
-  mutable next_snap_id : int; (* guarded_by: caller *)
-  live_snaps : (int, int64) Hashtbl.t; (* snapshot id -> pinned seq *)
-  zombies : (string, zombie) Hashtbl.t; (* retired-but-pinned, by file *)
 }
 
 let config t = t.cfg
@@ -98,7 +82,7 @@ let make_bucket t ~id ~lo ~structure =
     read_counts = Array.make t.cfg.Config.l_max 0;
     range_queries = 0;
     next_structure = structure;
-    view = None;
+    view = Run_set.slot ();
   }
 
 let manifest_name cfg = cfg.Config.name ^ "-manifest"
@@ -125,40 +109,45 @@ let bootstrap_buckets t =
   in
   t.buckets <- buckets
 
+let make ~env ~wal ~manifest cfg =
+  let cache =
+    if cfg.Config.block_cache_bytes > 0 then
+      Some
+        (Wip_storage.Block_cache.create
+           ~capacity_bytes:cfg.Config.block_cache_bytes)
+    else None
+  in
+  {
+    cfg;
+    env;
+    wal;
+    manifest;
+    runs =
+      Run_set.create ?cache env manifest ~name:cfg.Config.name ~suffix:".lvt"
+        ~bits_per_key:cfg.Config.bits_per_key ~ph_index:cfg.Config.ph_index
+        ~sorted_view:cfg.Config.sorted_view
+        ~sorted_view_min_runs:cfg.Config.sorted_view_min_runs;
+    buckets = [||];
+    next_bucket_id = 0;
+    seq = 0L;
+    splits = 0;
+    compactions = 0;
+    io_credit = 0;
+    health = Intf.Healthy;
+    quarantined = [];
+  }
+
 let create ?env:env_opt cfg =
   (match Config.validate cfg with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Wipdb.create: " ^ msg));
   let env = match env_opt with Some e -> e | None -> Env.in_memory () in
   let manifest = Manifest.create env ~name:(manifest_name cfg) in
-  let t =
-    {
-      cfg;
-      env;
-      wal = Wal.create env ~prefix:(cfg.Config.name ^ "-wal")
-              ~segment_bytes:cfg.Config.wal_segment_bytes ();
-      manifest;
-      buckets = [||];
-      readers = Hashtbl.create 256;
-      next_file = 1;
-      next_bucket_id = 0;
-      seq = 0L;
-      splits = 0;
-      compactions = 0;
-      io_credit = 0;
-      health = Intf.Healthy;
-      quarantined = [];
-      cache =
-        (if cfg.Config.block_cache_bytes > 0 then
-           Some
-             (Wip_storage.Block_cache.create
-                ~capacity_bytes:cfg.Config.block_cache_bytes)
-         else None);
-      next_snap_id = 0;
-      live_snaps = Hashtbl.create 8;
-      zombies = Hashtbl.create 8;
-    }
+  let wal =
+    Wal.create env ~prefix:(cfg.Config.name ^ "-wal")
+      ~segment_bytes:cfg.Config.wal_segment_bytes ()
   in
+  let t = make ~env ~wal ~manifest cfg in
   bootstrap_buckets t;
   Manifest.sync manifest;
   t
@@ -180,184 +169,31 @@ let bucket_for t key =
   bs 0 n
 
 (* ------------------------------------------------------------------ *)
-(* Table plumbing *)
-
-let fresh_table_name t =
-  let n = t.next_file in
-  t.next_file <- n + 1;
-  Printf.sprintf "%s-%06d.lvt" t.cfg.Config.name n
-
-let reader_of t (meta : Table.meta) =
-  match Hashtbl.find_opt t.readers meta.Table.name with
-  | Some r -> r
-  | None ->
-    let r = Table.Reader.open_ ?cache:t.cache t.env ~name:meta.Table.name in
-    Hashtbl.replace t.readers meta.Table.name r;
-    r
-
-let reclaim_table t name =
-  (match Hashtbl.find_opt t.readers name with
-  | Some r ->
-    Table.Reader.close r;
-    Hashtbl.remove t.readers name
-  | None -> ());
-  (match t.cache with
-  | Some cache -> Wip_storage.Block_cache.evict_file cache name
-  | None -> ());
-  Env.delete t.env name
-
-(* Retire a table the bucket directory no longer references. With no live
-   snapshot the file is reclaimed immediately; otherwise it becomes a
-   zombie pinned by every currently-live snapshot — a pinned snapshot may
-   still be lazily streaming its blocks (the store.ml drain-before-write
-   hazard this fixes), so the reader stays open and the file stays on the
-   Env until the last pinner releases. *)
-let drop_table t (meta : Table.meta) =
-  if Hashtbl.length t.live_snaps = 0 then reclaim_table t meta.Table.name
-  else begin
-    let pinners = Hashtbl.fold (fun id _ acc -> id :: acc) t.live_snaps [] in
-    Hashtbl.replace t.zombies meta.Table.name
-      { z_meta = meta; z_pinners = pinners }
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Pinned snapshots (§III-D sequence-number rule, end to end).
 
    A snapshot pins a seq. Reads at that seq stay exact for the handle's
    lifetime because (a) version GC floors at the oldest live snapshot
-   ([oldest_snapshot_seq] feeds every Merge_iter.compact site as
-   [snapshot_floor], so the newest version at-or-below the floor and every
-   version above it survive), and (b) tables retired while a snapshot is
-   live stay readable as zombies until their last pinner releases. *)
+   (every Merge_iter.compact site passes [oldest_snapshot_seq] as
+   [snapshot_floor]), and (b) tables retired while a snapshot is live stay
+   readable as zombies until their last pinner releases. *)
 
-let oldest_snapshot_seq t =
-  Hashtbl.fold
-    (fun _ s acc -> if Int64.compare s acc < 0 then s else acc)
-    t.live_snaps Int64.max_int
+let snapshot t = Run_set.snapshot t.runs ~seq:t.seq
 
-let live_snapshot_count t = Hashtbl.length t.live_snaps
+let oldest_snapshot_seq t = Run_set.oldest_snapshot_seq t.runs
 
-let zombie_table_files t =
-  Hashtbl.fold (fun name _ acc -> name :: acc) t.zombies []
+let live_snapshot_count t = Run_set.live_snapshot_count t.runs
 
-let zombie_bytes t =
-  Hashtbl.fold (fun _ z acc -> acc + z.z_meta.Table.size) t.zombies 0
+let zombie_table_files t = Run_set.zombie_table_files t.runs
 
-let release_snapshot_id t id =
-  if Hashtbl.mem t.live_snaps id then begin
-    Hashtbl.remove t.live_snaps id;
-    let dead =
-      Hashtbl.fold
-        (fun name z acc ->
-          z.z_pinners <- List.filter (fun p -> p <> id) z.z_pinners;
-          if z.z_pinners = [] then name :: acc else acc)
-        t.zombies []
-    in
-    List.iter
-      (fun name ->
-        Hashtbl.remove t.zombies name;
-        reclaim_table t name)
-      dead
-  end
+let zombie_bytes t = Run_set.zombie_bytes t.runs
 
-let snapshot t =
-  let id = t.next_snap_id in
-  t.next_snap_id <- id + 1;
-  Hashtbl.replace t.live_snaps id t.seq;
-  {
-    Intf.snap_seq = t.seq;
-    snap_id = id;
-    snap_release = (fun () -> release_snapshot_id t id);
-  }
+let log_add_table t bucket level meta =
+  Run_set.log_add t.runs ~bucket:bucket.id ~level meta
 
-let log_add_table t bucket level (meta : Table.meta) =
-  Manifest.append t.manifest
-    (Manifest.Add_table
-       {
-         bucket = bucket.id;
-         level;
-         name = meta.Table.name;
-         size = meta.Table.size;
-         entry_count = meta.Table.entry_count;
-         smallest = meta.Table.smallest;
-         largest = meta.Table.largest;
-       })
-
-let log_remove_table t bucket level (meta : Table.meta) =
-  Manifest.append t.manifest
-    (Manifest.Remove_table { bucket = bucket.id; level; name = meta.Table.name })
-
-(* Encoded-entry stream over one table. Compaction/split readers pass
-   ~fill_cache:false: a sequential pass must not evict the point-read
-   working set from the block cache. *)
-let table_seq t ~category ?(fill_cache = true) meta =
-  Table.Reader.stream (reader_of t meta) ~category ~fill_cache ()
-
-(* ------------------------------------------------------------------ *)
-(* Sorted views (REMIX-style; see Sorted_view and DESIGN.md).
-
-   The view's run streams are always scan-resistant (~fill_cache:false):
-   replaying a whole bucket must not evict the point-get working set. *)
-
-let invalidate_view bucket = bucket.view <- None
-
-let view_open_run t (runs : Table.meta array) r ~from =
-  Table.Reader.stream (reader_of t runs.(r)) ~category:Io_stats.Read_path
-    ~fill_cache:false ~from ()
+let log_remove_table t bucket level meta =
+  Run_set.log_remove t.runs ~bucket:bucket.id ~level meta
 
 let bucket_tables bucket = Array.to_list bucket.levels |> List.concat
-
-(* The view of [bucket], building it on demand when the flag is on and the
-   run count is in the profitable window. Returns the pair a walk needs. *)
-let bucket_view t bucket =
-  match bucket.view with
-  | Some vr -> Some vr
-  | None ->
-    if not t.cfg.Config.sorted_view then None
-    else begin
-      let tables = bucket_tables bucket in
-      let n = List.length tables in
-      if n < t.cfg.Config.sorted_view_min_runs || n > Sorted_view.max_runs
-      then None
-      else begin
-        let runs = Array.of_list tables in
-        let started = Unix.gettimeofday () in
-        let view =
-          Sorted_view.build
-            (Array.map
-               (fun m ->
-                 table_seq t ~category:Io_stats.Read_path ~fill_cache:false m)
-               runs)
-        in
-        Io_stats.record_view_rebuild (io_stats t)
-          ~ns:(int_of_float ((Unix.gettimeofday () -. started) *. 1e9));
-        let vr = (view, runs) in
-        bucket.view <- Some vr;
-        Some vr
-      end
-    end
-
-(* Flush site: extend an existing view with the new run instead of dropping
-   it — a 2-way merge of the view's replay against the just-flushed table.
-   Buckets that are never scanned never have a view and never pay this. *)
-let view_note_flush t bucket (meta : Table.meta) =
-  match bucket.view with
-  | None -> ()
-  | Some (view, runs) ->
-    if
-      (not t.cfg.Config.sorted_view)
-      || Sorted_view.run_count view >= Sorted_view.max_runs
-    then invalidate_view bucket
-    else begin
-      let started = Unix.gettimeofday () in
-      let view' =
-        Sorted_view.add_run view ~open_run:(view_open_run t runs)
-          (table_seq t ~category:Io_stats.Read_path ~fill_cache:false meta)
-      in
-      Io_stats.record_view_rebuild (io_stats t)
-        ~ns:(int_of_float ((Unix.gettimeofday () -. started) *. 1e9));
-      bucket.view <- Some (view', Array.append runs [| meta |])
-    end
 
 (* ------------------------------------------------------------------ *)
 (* Flush (minor compaction): MemTable -> one level-0 LevelTable *)
@@ -387,17 +223,13 @@ let flush_bucket t bucket =
        after the flush replays the whole batch instead of applying half. *)
     Wal.sync t.wal;
     let entries = Memtable.sorted_entries bucket.memtable in
-    let builder =
-      Table.Builder.create t.env ~name:(fresh_table_name t)
-        ~category:Io_stats.Flush ~bits_per_key:t.cfg.Config.bits_per_key
-        ~ph_index:t.cfg.Config.ph_index ~expected_keys:(Array.length entries)
-        ()
-    in
-    Array.iter (fun (ik, v) -> Table.Builder.add builder ik v) entries;
-    let meta = Table.Builder.finish builder in
-    bucket.levels.(0) <- meta :: bucket.levels.(0);
-    view_note_flush t bucket meta;
-    log_add_table t bucket 0 meta;
+    Run_set.write t.runs ~category:Io_stats.Flush
+      ~expected_keys:(Array.length entries)
+      (Seq.map (fun (ik, v) -> (Ikey.encode ik, v)) (Array.to_seq entries))
+    |> List.iter (fun meta ->
+           bucket.levels.(0) <- meta :: bucket.levels.(0);
+           Run_set.extend t.runs bucket.view meta;
+           log_add_table t bucket 0 meta);
     (* Adaptive MemTable structure (§III-D): heavy range-query traffic since
        the last flush switches the next table to the sorted structure; quiet
        buckets switch back to the hash structure. *)
@@ -415,47 +247,43 @@ let flush_bucket t bucket =
 (* Compaction: merge ALL sublevels of level i into ONE sublevel of i+1.
    Nothing in level i+1 is rewritten — write amplification 1 per level. *)
 
+(* Merge [inputs] (read as [read]) into at most one new table — or, with
+   [cuts], one per key range between cuts — with version GC floored at the
+   oldest live snapshot. *)
+let merge_into t ~category ~read ~drop_tombstones ?cuts ?expected_keys inputs =
+  let entries =
+    Merge_iter.compact ~dedup_user_keys:true ~drop_tombstones
+      ~snapshot_floor:(oldest_snapshot_seq t)
+      (List.map (Run_set.stream t.runs ~category:read) inputs)
+  in
+  let expected_keys =
+    match expected_keys with
+    | Some n -> n
+    | None ->
+      max 64
+        (List.fold_left
+           (fun acc (m : Table.meta) -> acc + m.Table.entry_count)
+           0 inputs)
+  in
+  Run_set.write t.runs ~category ~expected_keys ?cuts entries
+
 let compact_level t bucket level =
   let inputs = bucket.levels.(level) in
   if inputs <> [] && level + 1 < t.cfg.Config.l_max then begin
     t.compactions <- t.compactions + 1;
-    let seqs =
-      List.map
-        (fun m ->
-          table_seq t ~category:(Io_stats.Compaction_read level)
-            ~fill_cache:false m)
-        inputs
-    in
-    let entries =
-      Merge_iter.compact ~dedup_user_keys:true ~drop_tombstones:false
-        ~snapshot_floor:(oldest_snapshot_seq t) seqs
-    in
-    let expected =
-      List.fold_left (fun acc (m : Table.meta) -> acc + m.Table.entry_count) 0 inputs
-    in
-    let builder =
-      Table.Builder.create t.env ~name:(fresh_table_name t)
-        ~category:(Io_stats.Compaction (level + 1))
-        ~bits_per_key:t.cfg.Config.bits_per_key
-        ~ph_index:t.cfg.Config.ph_index ~expected_keys:(max 64 expected) ()
-    in
-    Seq.iter
-      (fun (key, value) -> Table.Builder.add_encoded builder ~key ~value)
-      entries;
-    if Table.Builder.entry_count builder > 0 then begin
-      let meta = Table.Builder.finish builder in
-      bucket.levels.(level + 1) <- meta :: bucket.levels.(level + 1);
-      log_add_table t bucket (level + 1) meta
-    end
-    else Table.Builder.abandon builder;
+    merge_into t ~category:(Io_stats.Compaction (level + 1))
+      ~read:(Io_stats.Compaction_read level) ~drop_tombstones:false inputs
+    |> List.iter (fun meta ->
+           bucket.levels.(level + 1) <- meta :: bucket.levels.(level + 1);
+           log_add_table t bucket (level + 1) meta);
     List.iter (fun m -> log_remove_table t bucket level m) inputs;
     bucket.levels.(level) <- [];
     bucket.read_counts.(level) <- 0;
-    invalidate_view bucket;
+    Run_set.invalidate bucket.view;
     (* The removes must be durable before the inputs vanish, or recovery
        would replay a manifest referencing deleted files. *)
     Manifest.sync t.manifest;
-    List.iter (drop_table t) inputs
+    List.iter (Run_set.retire t.runs) inputs
   end
 
 (* ------------------------------------------------------------------ *)
@@ -469,13 +297,9 @@ let choose_splitters t bucket =
   let per_table (meta : Table.meta) =
     if meta.Table.entry_count = 0 then []
     else begin
-      let reader = reader_of t meta in
       let sample = ref [] in
       (* Evenly spaced block boundaries approximate key ordinals. *)
-      let keys =
-        Table.Reader.stream reader ~category:Io_stats.Split ~fill_cache:false ()
-        |> Seq.map fst
-      in
+      let keys = Run_set.stream t.runs ~category:Io_stats.Split meta |> Seq.map fst in
       (* Taking every (count/n)-th key exactly would re-read the table; the
          index-based approximation below uses the table's smallest/largest
          and a handful of sampled keys. For fidelity we sample from the real
@@ -515,75 +339,19 @@ let split_bucket t bucket =
   if splitters <> [] then begin
     t.splits <- t.splits + 1;
     let boundaries = bucket.lo :: splitters in
-    (* Full compaction of the whole bucket into one sorted stream; tombstones
-       die here because the stream is the entire history of the range. *)
-    let seqs =
-      Array.to_list bucket.levels
-      |> List.concat_map
-           (List.map (fun m ->
-                table_seq t ~category:Io_stats.Split ~fill_cache:false m))
-    in
-    let entries =
-      Merge_iter.compact ~dedup_user_keys:true ~drop_tombstones:true
-        ~snapshot_floor:(oldest_snapshot_seq t) seqs
-    in
-    (* Cut the stream at each splitter: one output table per new bucket.
-       Splitters are pre-encoded once so the per-entry comparison runs on
-       raw bytes. *)
-    let remaining =
-      ref (List.map (fun s -> Ikey.encode_user s) (List.tl boundaries))
-    in
-    let outputs = ref [] in
-    let builder = ref None in
+    (* Full compaction of the whole bucket into one sorted stream, cut at
+       each splitter: one output table per new bucket. Tombstones die here
+       because the stream is the entire history of the range. *)
+    let inputs = bucket_tables bucket in
     let total_entries =
-      Array.fold_left
-        (fun acc tables ->
-          List.fold_left
-            (fun acc (m : Table.meta) -> acc + m.Table.entry_count)
-            acc tables)
-        0 bucket.levels
+      List.fold_left (fun acc (m : Table.meta) -> acc + m.Table.entry_count) 0 inputs
     in
-    let finish () =
-      match !builder with
-      | Some b ->
-        if Table.Builder.entry_count b > 0 then
-          outputs := Table.Builder.finish b :: !outputs
-        else Table.Builder.abandon b;
-        builder := None
-      | None -> ()
+    let outputs =
+      merge_into t ~category:Io_stats.Split ~read:Io_stats.Split
+        ~drop_tombstones:true ~cuts:splitters
+        ~expected_keys:(max 64 (total_entries / List.length boundaries))
+        inputs
     in
-    Seq.iter
-      (fun (key, value) ->
-        (* Advance past any splitters <= this key. *)
-        let advanced = ref false in
-        while
-          match !remaining with
-          | s :: _ when Ikey.compare_encoded_user s key <= 0 -> true
-          | _ -> false
-        do
-          remaining := List.tl !remaining;
-          advanced := true
-        done;
-        if !advanced then finish ();
-        let b =
-          match !builder with
-          | Some b -> b
-          | None ->
-            let b' =
-              Table.Builder.create t.env ~name:(fresh_table_name t)
-                ~category:Io_stats.Split
-                ~bits_per_key:t.cfg.Config.bits_per_key
-                ~ph_index:t.cfg.Config.ph_index
-                ~expected_keys:(max 64 (total_entries / List.length boundaries))
-                ()
-            in
-            builder := Some b';
-            b'
-        in
-        Table.Builder.add_encoded b ~key ~value)
-      entries;
-    finish ();
-    let outputs = List.rev !outputs in
     (* Build the new buckets; each takes the output table whose range falls
        in its boundaries as its last level, and inherits the old MemTable's
        items that belong to it. *)
@@ -609,12 +377,10 @@ let split_bucket t bucket =
     in
     List.iter
       (fun (meta : Table.meta) ->
-        if meta.Table.entry_count > 0 then begin
-          let b = new_bucket_for meta.Table.smallest in
-          let lvl = t.cfg.Config.l_max - 1 in
-          b.levels.(lvl) <- meta :: b.levels.(lvl);
-          log_add_table t b lvl meta
-        end)
+        let b = new_bucket_for meta.Table.smallest in
+        let lvl = t.cfg.Config.l_max - 1 in
+        b.levels.(lvl) <- meta :: b.levels.(lvl);
+        log_add_table t b lvl meta)
       outputs;
     Array.iter
       (fun ((ik : Ikey.t), v) ->
@@ -638,10 +404,9 @@ let split_bucket t bucket =
       List.sort (fun a b -> String.compare a.lo b.lo) (others @ new_buckets)
     in
     t.buckets <- Array.of_list all;
-    Manifest.append t.manifest
-      (Manifest.Watermark { seq = t.seq; next_file = t.next_file });
+    Run_set.log_watermark t.runs ~seq:t.seq;
     Manifest.sync t.manifest;
-    Array.iter (fun tables -> List.iter (drop_table t) tables) bucket.levels
+    List.iter (Run_set.retire t.runs) inputs
   end
 
 (* ------------------------------------------------------------------ *)
@@ -656,50 +421,17 @@ let bucket_bytes bucket =
 let merge_buckets t left right =
   (* Full-compact both buckets into one table placed at the merged bucket's
      last level; MemTable items are re-added. *)
-  let seqs =
-    List.concat_map
-      (fun b ->
-        Array.to_list b.levels
-        |> List.concat_map
-             (List.map (fun m ->
-                  table_seq t ~category:Io_stats.Split ~fill_cache:false m)))
-      [ left; right ]
-  in
-  let entries =
-    Merge_iter.compact ~dedup_user_keys:true ~drop_tombstones:true
-      ~snapshot_floor:(oldest_snapshot_seq t) seqs
-  in
-  let expected =
-    List.fold_left
-      (fun acc b ->
-        Array.fold_left
-          (fun acc tables ->
-            List.fold_left
-              (fun acc (m : Table.meta) -> acc + m.Table.entry_count)
-              acc tables)
-          acc b.levels)
-      0
-      [ left; right ]
-  in
+  let inputs = bucket_tables left @ bucket_tables right in
   let id = t.next_bucket_id in
   t.next_bucket_id <- id + 1;
   Manifest.append t.manifest (Manifest.Add_bucket { id; lo = left.lo });
   let merged = make_bucket t ~id ~lo:left.lo ~structure:left.next_structure in
-  let builder =
-    Table.Builder.create t.env ~name:(fresh_table_name t)
-      ~category:Io_stats.Split ~bits_per_key:t.cfg.Config.bits_per_key
-      ~ph_index:t.cfg.Config.ph_index ~expected_keys:(max 64 expected) ()
-  in
-  Seq.iter
-    (fun (key, value) -> Table.Builder.add_encoded builder ~key ~value)
-    entries;
-  if Table.Builder.entry_count builder > 0 then begin
-    let meta = Table.Builder.finish builder in
-    let lvl = t.cfg.Config.l_max - 1 in
-    merged.levels.(lvl) <- [ meta ];
-    log_add_table t merged lvl meta
-  end
-  else Table.Builder.abandon builder;
+  let lvl = t.cfg.Config.l_max - 1 in
+  merge_into t ~category:Io_stats.Split ~read:Io_stats.Split
+    ~drop_tombstones:true inputs
+  |> List.iter (fun meta ->
+         merged.levels.(lvl) <- meta :: merged.levels.(lvl);
+         log_add_table t merged lvl meta);
   List.iter
     (fun b ->
       Array.iter
@@ -713,10 +445,7 @@ let merge_buckets t left right =
     [ left; right ];
   (* Edits durable before the retired files are deleted. *)
   Manifest.sync t.manifest;
-  List.iter
-    (fun b ->
-      Array.iter (fun tables -> List.iter (drop_table t) tables) b.levels)
-    [ left; right ];
+  List.iter (Run_set.retire t.runs) inputs;
   let others =
     Array.to_list t.buckets
     |> List.filter (fun b -> b.id <> left.id && b.id <> right.id)
@@ -786,45 +515,15 @@ let collapse_last_level t bucket =
   let inputs = bucket.levels.(level) in
   if List.length inputs > 1 then begin
     t.compactions <- t.compactions + 1;
-    let seqs =
-      List.map
-        (fun m ->
-          table_seq t ~category:(Io_stats.Compaction_read level)
-            ~fill_cache:false m)
-        inputs
-    in
-    let entries =
-      Merge_iter.compact ~dedup_user_keys:true ~drop_tombstones:true
-        ~snapshot_floor:(oldest_snapshot_seq t) seqs
-    in
-    let expected =
-      List.fold_left
-        (fun acc (m : Table.meta) -> acc + m.Table.entry_count)
-        0 inputs
-    in
-    let builder =
-      Table.Builder.create t.env ~name:(fresh_table_name t)
-        ~category:(Io_stats.Compaction level)
-        ~bits_per_key:t.cfg.Config.bits_per_key
-        ~ph_index:t.cfg.Config.ph_index ~expected_keys:(max 64 expected) ()
-    in
-    Seq.iter
-      (fun (key, value) -> Table.Builder.add_encoded builder ~key ~value)
-      entries;
-    if Table.Builder.entry_count builder > 0 then begin
-      let meta = Table.Builder.finish builder in
-      bucket.levels.(level) <- [ meta ];
-      log_add_table t bucket level meta
-    end
-    else begin
-      Table.Builder.abandon builder;
-      bucket.levels.(level) <- []
-    end;
+    bucket.levels.(level) <-
+      merge_into t ~category:(Io_stats.Compaction level)
+        ~read:(Io_stats.Compaction_read level) ~drop_tombstones:true inputs;
+    List.iter (log_add_table t bucket level) bucket.levels.(level);
     List.iter (fun m -> log_remove_table t bucket level m) inputs;
     bucket.read_counts.(level) <- 0;
-    invalidate_view bucket;
+    Run_set.invalidate bucket.view;
     Manifest.sync t.manifest;
-    List.iter (drop_table t) inputs
+    List.iter (Run_set.retire t.runs) inputs
   end
 
 (* Advisory pending-work estimate for the compaction pool's shard scheduler
@@ -1023,7 +722,7 @@ let get_at_seq t key ~snapshot =
           | (m : Table.meta) :: rest ->
             if not (Table.overlaps m ~lo:key ~hi:key) then sublevels rest
             else begin
-              let reader = reader_of t m in
+              let reader = Run_set.reader t.runs m in
               if not (Table.Reader.may_contain_encoded reader target) then
                 sublevels rest
               else begin
@@ -1063,7 +762,7 @@ let newest_seq t key =
           | (m : Table.meta) :: rest ->
             if not (Table.overlaps m ~lo:key ~hi:key) then sublevels rest
             else begin
-              let reader = reader_of t m in
+              let reader = Run_set.reader t.runs m in
               if not (Table.Reader.may_contain_encoded reader target) then
                 sublevels rest
               else
@@ -1111,84 +810,16 @@ let visible_seq t ~lo ~hi ~snapshot =
            | None -> true
            | Some h -> String.compare h lo > 0)
   in
-  (* Encoded range bounds, computed once: tables seek [from] directly and the
-     take-while compares [hi_enc] against each entry's escaped-user prefix. *)
-  let from = Ikey.encode_seek lo ~seq:Ikey.max_seq in
-  let hi_enc = Ikey.encode_user hi in
   let bucket_seq b () =
     b.range_queries <- b.range_queries + 1;
-    let mem_entries =
-      (* §III-D: sort the hash MemTable into a one-time buffer; entries are
-         encoded here to join the bytewise merge (the MemTable is small, so
-         this is bounded work). *)
-      Memtable.sorted_entries b.memtable
-      |> Array.to_seq
-      |> Seq.filter (fun ((ik : Ikey.t), _) ->
-             Ikey.compare_user ik.Ikey.user_key lo >= 0
-             && Ikey.compare_user ik.Ikey.user_key hi < 0)
-      |> Seq.map (fun (ik, v) -> (Ikey.encode ik, v))
-    in
-    let table_seqs =
-      (* Sorted view first: one selector-driven walk replaces the heap
-         merge of the whole run set. Falls through to the per-table merge
-         when the flag is off, the bucket has too few (or too many) runs,
-         or the view was just invalidated. Both paths stream with
-         ~fill_cache:false — live and snapshot scans alike are
-         scan-resistant, so a long walk cannot evict the hot-get working
-         set (PR 9 satellite). *)
-      match bucket_view t b with
-      | Some (view, runs) ->
-        [
-          Sorted_view.walk view ~from ~open_run:(view_open_run t runs)
-          |> Seq.take_while (fun (k, _) ->
-                 Ikey.compare_encoded_user hi_enc k > 0);
-        ]
-      | None ->
-        Array.to_list b.levels
-        |> List.concat_map
-             (List.filter_map (fun (m : Table.meta) ->
-                  (* Exclusive bound: a table whose smallest key equals [hi]
-                     holds nothing in [lo, hi) — never open or stream it. *)
-                  if Table.overlaps_excl m ~lo ~hi_excl:hi then
-                    Some
-                      (Table.Reader.stream (reader_of t m)
-                         ~category:Io_stats.Read_path ~fill_cache:false ~from
-                         ()
-                      |> Seq.take_while (fun (k, _) ->
-                             Ikey.compare_encoded_user hi_enc k > 0))
-                  else None))
-    in
-    (Merge_iter.compact ~dedup_user_keys:true ~drop_tombstones:false
-       ~snapshot_floor:snapshot
-       (mem_entries :: table_seqs))
-      ()
+    (* §III-D: the hash MemTable sorts into a one-time buffer for the merge
+       (the MemTable is small, so this is bounded work). *)
+    Run_set.range t.runs b.view (bucket_tables b)
+      ~mem:(Array.to_seq (Memtable.sorted_entries b.memtable))
+      ~lo ~hi ~snapshot ()
   in
-  let merged = Seq.concat (List.to_seq (List.map bucket_seq relevant)) in
-  (* Entries newer than the snapshot are skipped (§III-D sequence-number
-     rule); among the rest the first (newest) version per user key decides,
-     and tombstones are dropped. Only emitted keys get unescaped. *)
-  let rec visible last seq () =
-    match seq () with
-    | Seq.Nil -> Seq.Nil
-    | Seq.Cons ((k, v), rest) ->
-      if Int64.compare (Ikey.encoded_seq k) snapshot > 0 then
-        visible last rest ()
-      else begin
-        let dup =
-          match last with
-          | Some prev -> Ikey.encoded_same_user prev k
-          | None -> false
-        in
-        let last = Some k in
-        if dup then visible last rest ()
-        else
-          match Ikey.encoded_kind k with
-          | Ikey.Value ->
-            Seq.Cons ((Ikey.user_key_of_encoded k, v), visible last rest)
-          | Ikey.Deletion -> visible last rest ()
-      end
-  in
-  visible None merged
+  Seq.concat (List.to_seq (List.map bucket_seq relevant))
+  |> Run_set.visible ~snapshot
 
 let iter_range t ?snapshot ~lo ~hi () =
   let snapshot =
@@ -1204,30 +835,6 @@ let scan_at_seq t ~lo ~hi ?(limit = max_int) ~snapshot () =
 (* ------------------------------------------------------------------ *)
 (* Recovery *)
 
-(* Delete table files that no live bucket references — debris of an
-   interrupted flush/compaction/split whose manifest edit never became
-   durable. Only files carrying this store's name prefix and the table
-   suffix are touched, so co-tenant stores on the same Env are safe. *)
-let gc_orphans t =
-  let live = Hashtbl.create 64 in
-  Array.iter
-    (fun b ->
-      Array.iter
-        (List.iter (fun (m : Table.meta) -> Hashtbl.replace live m.Table.name ()))
-        b.levels)
-    t.buckets;
-  let prefix = t.cfg.Config.name ^ "-" in
-  let plen = String.length prefix in
-  List.iter
-    (fun f ->
-      if
-        String.length f > plen
-        && String.equal (String.sub f 0 plen) prefix
-        && Filename.check_suffix f ".lvt"
-        && not (Hashtbl.mem live f)
-      then Env.delete t.env f)
-    (Env.list_files t.env)
-
 let recover ?env:env_opt cfg =
   let env = match env_opt with Some e -> e | None -> Env.in_memory () in
   if not (Manifest.exists env ~name:(manifest_name cfg)) then create ~env cfg
@@ -1237,40 +844,14 @@ let recover ?env:env_opt cfg =
     let max_bucket_id = ref (-1) in
     let watermark_seq = ref 0L in
     let watermark_file = ref 1 in
-    let stub_t = ref None in
-    (* We need a [t] to create memtables; construct it first with empty
-       directory, then fill. *)
     let t =
-      {
-        cfg;
-        env;
-        (* Placeholder log, replaced below once the real WAL is recovered;
-           its distinct prefix keeps it out of future recoveries and its
-           single empty segment is deleted before returning. *)
-        wal = Wal.create env ~prefix:(cfg.Config.name ^ "-tmpwal") ();
-        manifest = Manifest.reopen env ~name:(manifest_name cfg);
-        buckets = [||];
-        readers = Hashtbl.create 256;
-        next_file = 1;
-        next_bucket_id = 0;
-        seq = 0L;
-        splits = 0;
-        compactions = 0;
-        io_credit = 0;
-        health = Intf.Healthy;
-        quarantined = [];
-        cache =
-          (if cfg.Config.block_cache_bytes > 0 then
-             Some
-               (Wip_storage.Block_cache.create
-                  ~capacity_bytes:cfg.Config.block_cache_bytes)
-           else None);
-        next_snap_id = 0;
-        live_snaps = Hashtbl.create 8;
-        zombies = Hashtbl.create 8;
-      }
+      (* Placeholder log, replaced below once the real WAL is recovered;
+         its distinct prefix keeps it out of future recoveries and its
+         single empty segment is deleted before returning. *)
+      make ~env ~wal:(Wal.create env ~prefix:(cfg.Config.name ^ "-tmpwal") ())
+        ~manifest:(Manifest.reopen env ~name:(manifest_name cfg))
+        cfg
     in
-    stub_t := Some t;
     Manifest.replay env ~name:(manifest_name cfg) (fun edit ->
         match edit with
         | Manifest.Add_bucket { id; lo } ->
@@ -1306,28 +887,10 @@ let recover ?env:env_opt cfg =
     (* A crash before the very first manifest sync replays to zero buckets;
        bootstrap again so the WAL replay below has somewhere to land. *)
     if Array.length t.buckets = 0 then bootstrap_buckets t;
-    (* next_file: beyond both the watermark and any live table file. *)
-    let max_file_no =
-      Array.fold_left
-        (fun acc b ->
-          Array.fold_left
-            (fun acc tables ->
-              List.fold_left
-                (fun acc (m : Table.meta) ->
-                  (* "<name>-NNNNNN.lvt" *)
-                  let base = Filename.chop_suffix m.Table.name ".lvt" in
-                  let prefix_len = String.length cfg.Config.name + 1 in
-                  match
-                    int_of_string_opt
-                      (String.sub base prefix_len (String.length base - prefix_len))
-                  with
-                  | Some n -> max acc n
-                  | None -> acc)
-                acc tables)
-            acc b.levels)
-        !watermark_file t.buckets
-    in
-    t.next_file <- max_file_no + 1;
+    (* Before the WAL replay below can flush: table numbering resumes past
+       every live table, and orphaned table files are deleted. *)
+    Run_set.recover t.runs ~next_file:!watermark_file
+      (Array.to_list t.buckets |> List.concat_map bucket_tables);
     t.seq <- !watermark_seq;
     (* Replay the WAL into MemTables; duplicates of already-persisted items
        carry their original (smaller or equal) sequence numbers, so reads
@@ -1349,14 +912,12 @@ let recover ?env:env_opt cfg =
     let t = { t with wal } in
     if Int64.compare (Wal.max_seq_logged wal) t.seq > 0 then
       t.seq <- Wal.max_seq_logged wal;
-    gc_orphans t;
     t
   end
 
 let checkpoint t =
   Wal.sync t.wal;
-  Manifest.append t.manifest
-    (Manifest.Watermark { seq = t.seq; next_file = t.next_file });
+  Run_set.log_watermark t.runs ~seq:t.seq;
   Manifest.sync t.manifest
 
 (* ------------------------------------------------------------------ *)
@@ -1529,8 +1090,8 @@ let probe t =
 (* Quarantine: a table whose bytes fail validation is dropped from its
    level (manifest edit included, so recovery agrees), its reader and
    cached blocks discarded, and the file renamed aside with a
-   ".quarantined" suffix — outside the ".lvt" namespace, so neither
-   [gc_orphans] nor recovery will touch the evidence. Serving continues
+   ".quarantined" suffix — outside the ".lvt" namespace, so recovery's
+   orphan GC will not touch the evidence. Serving continues
    from the remaining runs. Returns [true] when a table was found and
    removed, guaranteeing the caller's retry makes progress. *)
 let quarantine t ~file ~detail =
@@ -1557,16 +1118,9 @@ let quarantine t ~file ~detail =
                   not (String.equal m.Table.name file))
                 tables;
             log_remove_table t b level meta;
-            invalidate_view b;
+            Run_set.invalidate b.view;
             Manifest.sync t.manifest;
-            (match Hashtbl.find_opt t.readers file with
-            | Some r ->
-              Table.Reader.close r;
-              Hashtbl.remove t.readers file
-            | None -> ());
-            (match t.cache with
-            | Some cache -> Wip_storage.Block_cache.evict_file cache file
-            | None -> ());
+            Run_set.forget t.runs file;
             (try Env.rename t.env ~src:file ~dst:(file ^ ".quarantined")
              with Not_found -> ());
             t.quarantined <- (file, detail) :: t.quarantined

@@ -3,7 +3,7 @@ module Env = Wip_storage.Env
 module Io_stats = Wip_storage.Io_stats
 module Table = Wip_sstable.Table
 module Merge_iter = Wip_sstable.Merge_iter
-module Sorted_view = Wip_sstable.Sorted_view
+module Run_set = Wip_runset.Run_set
 module Skiplist = Wip_memtable.Skiplist
 module Wal = Wip_wal.Wal
 module Manifest = Wip_manifest.Manifest
@@ -54,44 +54,45 @@ type t = {
   env : Env.t;
   wal : Wal.t;
   manifest : Manifest.t;
+  runs : Run_set.t;
+  view : Run_set.slot; (* one store-wide view over every live fragment *)
   mutable mem : Skiplist.t; (* guarded_by: caller *)
   mutable l0 : Table.meta list; (* newest first; guarded_by: caller *)
   levels : level array; (* index 1..max_levels-1 used *)
-  readers : (string, Table.Reader.t) Hashtbl.t;
-  mutable next_file : int; (* guarded_by: caller *)
   mutable seq : int64; (* guarded_by: caller *)
   mutable compactions : int; (* guarded_by: caller *)
   (* Guards observed from inserted keys but not yet committed to a level. *)
   pending_guards : (int, string list) Hashtbl.t;
-  mutable next_snap_id : int; (* guarded_by: caller *)
-  live_snaps : (int, int64) Hashtbl.t; (* snapshot id -> pinned seq *)
-  mutable view : (Sorted_view.t * Table.meta array) option; (* guarded_by: caller *)
-      (* Store-wide sorted view over every live fragment; None when absent
-         or invalidated. Scans build it lazily; compaction and guard-commit
-         fragment splits drop it. *)
 }
 
 let manifest_name cfg = cfg.name ^ "-manifest"
 
-let create ?env cfg =
-  let env = match env with Some e -> e | None -> Env.in_memory () in
+let make ~env ~wal ~manifest cfg =
   {
     cfg;
     env;
-    wal = Wal.create env ~prefix:(cfg.name ^ "-wal") ();
-    manifest = Manifest.create env ~name:(manifest_name cfg);
+    wal;
+    manifest;
+    runs =
+      Run_set.create env manifest ~name:cfg.name ~suffix:".sst"
+        ~bits_per_key:cfg.bits_per_key ~ph_index:cfg.ph_index
+        ~sorted_view:cfg.sorted_view
+        ~sorted_view_min_runs:cfg.sorted_view_min_runs;
+    view = Run_set.slot ();
     mem = Skiplist.create ();
     l0 = [];
-    levels = Array.init cfg.max_levels (fun _ -> { spans = [ { guard = ""; fragments = [] } ] });
-    readers = Hashtbl.create 64;
-    next_file = 1;
+    levels =
+      Array.init cfg.max_levels (fun _ ->
+          { spans = [ { guard = ""; fragments = [] } ] });
     seq = 0L;
     compactions = 0;
     pending_guards = Hashtbl.create 8;
-    next_snap_id = 0;
-    live_snaps = Hashtbl.create 8;
-    view = None;
   }
+
+let create ?env cfg =
+  let env = match env with Some e -> e | None -> Env.in_memory () in
+  let wal = Wal.create env ~prefix:(cfg.name ^ "-wal") () in
+  make ~env ~wal ~manifest:(Manifest.create env ~name:(manifest_name cfg)) cfg
 
 let name t = t.cfg.name
 
@@ -99,140 +100,25 @@ let env t = t.env
 
 let io_stats t = Env.stats t.env
 
-let fresh_table_name t =
-  let n = t.next_file in
-  t.next_file <- n + 1;
-  Printf.sprintf "%s-%06d.sst" t.cfg.name n
-
-let reader_of t (meta : Table.meta) =
-  match Hashtbl.find_opt t.readers meta.Table.name with
-  | Some r -> r
-  | None ->
-    let r = Table.Reader.open_ t.env ~name:meta.Table.name in
-    Hashtbl.replace t.readers meta.Table.name r;
-    r
-
-let drop_table t (meta : Table.meta) =
-  (match Hashtbl.find_opt t.readers meta.Table.name with
-  | Some r ->
-    Table.Reader.close r;
-    Hashtbl.remove t.readers meta.Table.name
-  | None -> ());
-  Env.delete t.env meta.Table.name
-
-(* Pinned snapshots. Reads in this baseline are eager (no lazy stream
-   escapes a call), so pinning only needs the version-GC floor: while a
-   snapshot is live, compaction keeps every version a pinned seq can see. *)
-
-let oldest_snapshot_seq t =
-  Hashtbl.fold
-    (fun _ s acc -> if Int64.compare s acc < 0 then s else acc)
-    t.live_snaps Int64.max_int
-
-let live_snapshot_count t = Hashtbl.length t.live_snaps
-
-let snapshot t =
-  let id = t.next_snap_id in
-  t.next_snap_id <- id + 1;
-  Hashtbl.replace t.live_snaps id t.seq;
-  {
-    Wip_kv.Store_intf.snap_seq = t.seq;
-    snap_id = id;
-    snap_release = (fun () -> Hashtbl.remove t.live_snaps id);
-  }
+let snapshot t = Run_set.snapshot t.runs ~seq:t.seq
 
 (* Manifest edits: the [bucket] field carries the level a fragment lives in
    (0 = the unguarded L0); guards are logged as [Add_bucket { id = level;
    lo = guard }]. Replay re-places every fragment into the span containing
    its smallest key — sound because live operation physically splits (and
    re-logs) any fragment that would straddle a new guard. *)
-let log_add_fragment t ~level (m : Table.meta) =
-  Manifest.append t.manifest
-    (Manifest.Add_table
-       {
-         bucket = level;
-         level;
-         name = m.Table.name;
-         size = m.Table.size;
-         entry_count = m.Table.entry_count;
-         smallest = m.Table.smallest;
-         largest = m.Table.largest;
-       })
+let log_add_fragment t ~level m = Run_set.log_add t.runs ~bucket:level ~level m
 
-let log_remove_fragment t ~level (m : Table.meta) =
-  Manifest.append t.manifest
-    (Manifest.Remove_table { bucket = level; level; name = m.Table.name })
+let log_remove_fragment t ~level m =
+  Run_set.log_remove t.runs ~bucket:level ~level m
 
-let log_watermark t =
-  Manifest.append t.manifest
-    (Manifest.Watermark { seq = t.seq; next_file = t.next_file })
-
-(* ------------------------------------------------------------------ *)
-(* Sorted view (REMIX-style; see Sorted_view and DESIGN.md). One view over
-   every live fragment — guards partition the key space but do not change
-   the merge: a frozen merge of all fragments replays any range. Streams
-   are scan-resistant (~fill_cache:false). *)
-
-let invalidate_view t = t.view <- None
-
-let view_open_run t (runs : Table.meta array) r ~from =
-  Table.Reader.stream (reader_of t runs.(r)) ~category:Io_stats.Read_path
-    ~fill_cache:false ~from ()
+let log_watermark t = Run_set.log_watermark t.runs ~seq:t.seq
 
 let all_tables t =
   t.l0
   @ List.concat_map
       (fun lvl -> List.concat_map (fun s -> s.fragments) lvl.spans)
       (Array.to_list t.levels)
-
-let store_view t =
-  match t.view with
-  | Some vr -> Some vr
-  | None ->
-    if not t.cfg.sorted_view then None
-    else begin
-      let tables = all_tables t in
-      let n = List.length tables in
-      if n < t.cfg.sorted_view_min_runs || n > Sorted_view.max_runs then None
-      else begin
-        let runs = Array.of_list tables in
-        let started = Unix.gettimeofday () in
-        let view =
-          Sorted_view.build
-            (Array.map
-               (fun m ->
-                 Table.Reader.stream (reader_of t m)
-                   ~category:Io_stats.Read_path ~fill_cache:false ())
-               runs)
-        in
-        Io_stats.record_view_rebuild (io_stats t)
-          ~ns:(int_of_float ((Unix.gettimeofday () -. started) *. 1e9));
-        let vr = (view, runs) in
-        t.view <- Some vr;
-        Some vr
-      end
-    end
-
-(* Flush site: extend an existing view with the new L0 fragment instead of
-   dropping it. Stores that are never scanned never have a view and never
-   pay this. *)
-let view_note_flush t (meta : Table.meta) =
-  match t.view with
-  | None -> ()
-  | Some (view, runs) ->
-    if (not t.cfg.sorted_view) || Sorted_view.run_count view >= Sorted_view.max_runs
-    then invalidate_view t
-    else begin
-      let started = Unix.gettimeofday () in
-      let view' =
-        Sorted_view.add_run view ~open_run:(view_open_run t runs)
-          (Table.Reader.stream (reader_of t meta)
-             ~category:Io_stats.Read_path ~fill_cache:false ())
-      in
-      Io_stats.record_view_rebuild (io_stats t)
-        ~ns:(int_of_float ((Unix.gettimeofday () -. started) *. 1e9));
-      t.view <- Some (view', Array.append runs [| meta |])
-    end
 
 (* ------------------------------------------------------------------ *)
 (* Guard selection *)
@@ -267,40 +153,32 @@ let observe_key t key =
   in
   note 1
 
-(* Commit pending guards for [level]: split any span whose fragments cross
-   the new guard. Fragment splitting rewrites data in place — charged as
-   Split I/O (the PebblesDB cost the paper calls out). *)
-let rec split_fragment t ~category (meta : Table.meta) ~at =
-  ignore category;
-  let reader = reader_of t meta in
-  let at_enc = Ikey.encode_user at in
-  let build side_name pred =
-    let b =
-      Table.Builder.create t.env ~name:side_name ~category:Io_stats.Split
-        ~bits_per_key:t.cfg.bits_per_key ~ph_index:t.cfg.ph_index
-        ~expected_keys:(max 64 meta.Table.entry_count) ()
-    in
-    Seq.iter
-      (fun (key, value) ->
-        if pred key then Table.Builder.add_encoded b ~key ~value)
-      (Table.Reader.stream reader ~category:Io_stats.Split ~fill_cache:false ());
-    if Table.Builder.entry_count b > 0 then Some (Table.Builder.finish b)
-    else begin
-      Table.Builder.abandon b;
-      None
-    end
+(* The span of [lvl] holding [key]: the last one whose guard is <= key (the
+   first span's guard is "", so there always is one). *)
+let span_for lvl key =
+  let rec pick best = function
+    | span :: rest when String.compare span.guard key <= 0 -> pick span rest
+    | _ -> best
   in
-  (* The caller deletes [meta] once the manifest edits replacing it are
-     durable. *)
-  let left =
-    build (fresh_table_name t) (fun k -> Ikey.compare_encoded_user at_enc k > 0)
-  in
-  let right =
-    build (fresh_table_name t) (fun k -> Ikey.compare_encoded_user at_enc k <= 0)
-  in
-  (left, right)
+  match lvl.spans with first :: rest -> pick first rest | [] -> assert false
 
-and commit_guards t level =
+(* Commit pending guards for [level]: split any span whose fragments cross
+   the new guard. Fragment splitting rewrites data in place — one pass over
+   the fragment per half, charged as Split I/O (the PebblesDB cost the paper
+   calls out). The caller retires [meta] once the manifest edits replacing
+   it are durable. *)
+let split_fragment t (meta : Table.meta) ~at =
+  let at_enc = Ikey.encode_user at in
+  let half keep =
+    Run_set.stream t.runs ~category:Io_stats.Split meta
+    |> Seq.filter (fun (k, _) -> keep (Ikey.compare_encoded_user at_enc k))
+    |> Run_set.write t.runs ~category:Io_stats.Split
+         ~expected_keys:(max 64 meta.Table.entry_count)
+  in
+  let left = half (fun c -> c > 0) in
+  (left, half (fun c -> c <= 0))
+
+let commit_guards t level =
   match Hashtbl.find_opt t.pending_guards level with
   | None | Some [] -> ()
   | Some keys ->
@@ -339,19 +217,19 @@ and commit_guards t level =
                   else if String.compare m.Table.smallest g >= 0 then
                     right_frags := m :: !right_frags
                   else begin
-                    let l, r = split_fragment t ~category:Io_stats.Split m ~at:g in
+                    let l, r = split_fragment t m ~at:g in
                     split_inputs := m :: !split_inputs;
                     log_remove_fragment t ~level m;
-                    (match l with
-                    | Some m ->
-                      left_frags := m :: !left_frags;
-                      log_add_fragment t ~level m
-                    | None -> ());
-                    (match r with
-                    | Some m ->
-                      right_frags := m :: !right_frags;
-                      log_add_fragment t ~level m
-                    | None -> ())
+                    List.iter
+                      (fun m ->
+                        left_frags := m :: !left_frags;
+                        log_add_fragment t ~level m)
+                      l;
+                    List.iter
+                      (fun m ->
+                        right_frags := m :: !right_frags;
+                        log_add_fragment t ~level m)
+                      r
                   end)
                 span.fragments;
               let left_span = { guard = span.guard; fragments = List.rev !left_frags } in
@@ -362,41 +240,25 @@ and commit_guards t level =
         lvl.spans <- place [] lvl.spans)
       fresh;
     if !split_inputs <> [] then begin
-      invalidate_view t;
+      Run_set.invalidate t.view;
       (* The split halves' edits must be durable before the straddling
          fragment they replace is deleted. *)
       Manifest.sync t.manifest;
-      List.iter (drop_table t) !split_inputs
+      List.iter (Run_set.retire t.runs) !split_inputs
     end
 
 (* ------------------------------------------------------------------ *)
 (* Flush and compaction *)
 
-let write_run t ~category entries ~expected =
-  let name = fresh_table_name t in
-  let b =
-    Table.Builder.create t.env ~name ~category
-      ~bits_per_key:t.cfg.bits_per_key ~ph_index:t.cfg.ph_index
-      ~expected_keys:(max 64 expected) ()
-  in
-  Seq.iter (fun (ik, v) -> Table.Builder.add b ik v) entries;
-  if Table.Builder.entry_count b > 0 then Some (Table.Builder.finish b)
-  else begin
-    Table.Builder.abandon b;
-    None
-  end
-
 let flush_mem t =
   if Skiplist.count t.mem > 0 then begin
-    (match
-       write_run t ~category:Io_stats.Flush (Skiplist.to_sorted_seq t.mem)
-         ~expected:(Skiplist.count t.mem)
-     with
-    | Some meta ->
-      t.l0 <- meta :: t.l0;
-      view_note_flush t meta;
-      log_add_fragment t ~level:0 meta
-    | None -> ());
+    Run_set.write t.runs ~category:Io_stats.Flush
+      ~expected_keys:(max 64 (Skiplist.count t.mem))
+      (Seq.map (fun (ik, v) -> (Ikey.encode ik, v)) (Skiplist.to_sorted_seq t.mem))
+    |> List.iter (fun meta ->
+           t.l0 <- meta :: t.l0;
+           Run_set.extend t.runs t.view meta;
+           log_add_fragment t ~level:0 meta);
     log_watermark t;
     (* The flushed fragment's manifest edit must be durable before the WAL
        records it replaces are reclaimed. *)
@@ -405,67 +267,18 @@ let flush_mem t =
     ignore (Wal.reclaim t.wal ~persisted_below:(Int64.add t.seq 1L))
   end
 
-let table_seq t ~category meta =
-  Table.Reader.stream (reader_of t meta) ~category ~fill_cache:false ()
-
 (* Partition a merged (encoded) entry sequence by the guards of [level],
-   appending one fragment per span. *)
+   appending one fragment per span it touches. *)
 let emit_into_level t ~category level entries ~expected =
   commit_guards t level;
   let lvl = t.levels.(level) in
-  let spans = Array.of_list lvl.spans in
-  (* Guards encoded once; the per-entry span test then runs on raw bytes. *)
-  let guard_enc = Array.map (fun s -> Ikey.encode_user s.guard) spans in
-  let n = Array.length spans in
-  (* For each span, collect its slice of the iterator lazily by walking the
-     merged sequence once. *)
-  let current = ref 0 in
-  let builder = ref None in
-  let finish () =
-    match !builder with
-    | Some b ->
-      if Table.Builder.entry_count b > 0 then begin
-        let meta = Table.Builder.finish b in
-        let span = spans.(!current) in
-        span.fragments <- meta :: span.fragments;
-        log_add_fragment t ~level meta
-      end
-      else Table.Builder.abandon b;
-      builder := None
-    | None -> ()
-  in
-  let span_for key =
-    (* Largest span index whose guard <= key. Spans are sorted; linear
-       advance suffices because entries arrive in key order. *)
-    let rec advance i =
-      if i + 1 < n && Ikey.compare_encoded_user guard_enc.(i + 1) key <= 0 then
-        advance (i + 1)
-      else i
-    in
-    advance !current
-  in
-  Seq.iter
-    (fun (key, value) ->
-      let target = span_for key in
-      if target <> !current then begin
-        finish ();
-        current := target
-      end;
-      let b =
-        match !builder with
-        | Some b -> b
-        | None ->
-          let b' =
-            Table.Builder.create t.env ~name:(fresh_table_name t) ~category
-              ~bits_per_key:t.cfg.bits_per_key ~ph_index:t.cfg.ph_index
-              ~expected_keys:(max 64 expected) ()
-          in
-          builder := Some b';
-          b'
-      in
-      Table.Builder.add_encoded b ~key ~value)
-    entries;
-  finish ()
+  Run_set.write t.runs ~category ~expected_keys:(max 64 expected)
+    ~cuts:(List.tl (List.map (fun s -> s.guard) lvl.spans))
+    entries
+  |> List.iter (fun (meta : Table.meta) ->
+         let span = span_for lvl meta.Table.smallest in
+         span.fragments <- meta :: span.fragments;
+         log_add_fragment t ~level meta)
 
 let deepest_nonempty t =
   let rec check l =
@@ -480,24 +293,24 @@ let compact_l0 t =
     t.compactions <- t.compactions + 1;
     let inputs = t.l0 in
     let seqs =
-      List.map (fun m -> table_seq t ~category:(Io_stats.Compaction_read 0) m) inputs
+      List.map (Run_set.stream t.runs ~category:(Io_stats.Compaction_read 0)) inputs
     in
     let drop = deepest_nonempty t = 0 in
     let entries =
       Merge_iter.compact ~dedup_user_keys:true ~drop_tombstones:drop
-        ~snapshot_floor:(oldest_snapshot_seq t) seqs
+        ~snapshot_floor:(Run_set.oldest_snapshot_seq t.runs) seqs
     in
     let expected =
       List.fold_left (fun acc (m : Table.meta) -> acc + m.Table.entry_count) 0 inputs
     in
     emit_into_level t ~category:(Io_stats.Compaction 1) 1 entries ~expected;
     t.l0 <- [];
-    invalidate_view t;
+    Run_set.invalidate t.view;
     List.iter (fun m -> log_remove_fragment t ~level:0 m) inputs;
     log_watermark t;
     (* Removes durable before the input files vanish. *)
     Manifest.sync t.manifest;
-    List.iter (drop_table t) inputs
+    List.iter (Run_set.retire t.runs) inputs
   end
 
 let compact_span t level span =
@@ -505,12 +318,12 @@ let compact_span t level span =
     t.compactions <- t.compactions + 1;
     let inputs = span.fragments in
     let seqs =
-      List.map (fun m -> table_seq t ~category:(Io_stats.Compaction_read level) m) inputs
+      List.map (Run_set.stream t.runs ~category:(Io_stats.Compaction_read level)) inputs
     in
     let drop = deepest_nonempty t <= level in
     let entries =
       Merge_iter.compact ~dedup_user_keys:true ~drop_tombstones:drop
-        ~snapshot_floor:(oldest_snapshot_seq t) seqs
+        ~snapshot_floor:(Run_set.oldest_snapshot_seq t.runs) seqs
     in
     let expected =
       List.fold_left (fun acc (m : Table.meta) -> acc + m.Table.entry_count) 0 inputs
@@ -518,11 +331,11 @@ let compact_span t level span =
     emit_into_level t ~category:(Io_stats.Compaction (level + 1)) (level + 1) entries
       ~expected;
     span.fragments <- [];
-    invalidate_view t;
+    Run_set.invalidate t.view;
     List.iter (fun m -> log_remove_fragment t ~level m) inputs;
     log_watermark t;
     Manifest.sync t.manifest;
-    List.iter (drop_table t) inputs
+    List.iter (Run_set.retire t.runs) inputs
   end
 
 let pick_compaction t =
@@ -588,47 +401,23 @@ let recover ?env cfg =
   if not (Manifest.exists env ~name:(manifest_name cfg)) then create ~env cfg
   else begin
     let t =
-      {
-        cfg;
-        env;
-        (* Replaced below once the real WAL is recovered. *)
-        wal = Wal.create env ~prefix:(cfg.name ^ "-tmpwal") ();
-        manifest = Manifest.reopen env ~name:(manifest_name cfg);
-        mem = Skiplist.create ();
-        l0 = [];
-        levels =
-          Array.init cfg.max_levels (fun _ ->
-              { spans = [ { guard = ""; fragments = [] } ] });
-        readers = Hashtbl.create 64;
-        next_file = 1;
-        seq = 0L;
-        compactions = 0;
-        pending_guards = Hashtbl.create 8;
-        next_snap_id = 0;
-        live_snaps = Hashtbl.create 8;
-        view = None;
-      }
+      (* The placeholder log is replaced below once the real WAL is
+         recovered. *)
+      make ~env ~wal:(Wal.create env ~prefix:(cfg.name ^ "-tmpwal") ())
+        ~manifest:(Manifest.reopen env ~name:(manifest_name cfg))
+        cfg
     in
-    (* Place a fragment into the span of its level containing its smallest
+    let next_file = ref 1 in
+    (* Fragments land in the span of their level containing their smallest
        key (fragments never straddle guards: live operation splits and
        re-logs them before a guard lands). *)
-    let span_for_key lvl key =
-      let rec pick best = function
-        | [] -> best
-        | span :: rest ->
-          if String.compare span.guard key <= 0 then pick span rest else best
-      in
-      match lvl.spans with
-      | first :: rest -> pick first rest
-      | [] -> assert false
-    in
     Manifest.replay env ~name:(manifest_name cfg) (fun edit ->
         match edit with
         | Manifest.Add_table { bucket = level; name; size; entry_count; smallest; largest; _ } ->
           let meta = { Table.name; size; entry_count; smallest; largest } in
           if level = 0 then t.l0 <- meta :: t.l0
           else begin
-            let span = span_for_key t.levels.(level) meta.Table.smallest in
+            let span = span_for t.levels.(level) meta.Table.smallest in
             span.fragments <- meta :: span.fragments
           end
         | Manifest.Remove_table { bucket = level; name; _ } ->
@@ -641,7 +430,7 @@ let recover ?env cfg =
         | Manifest.Add_bucket { id = level; lo = g } ->
           let lvl = t.levels.(level) in
           if not (List.exists (fun s -> String.equal s.guard g) lvl.spans) then begin
-            let target = span_for_key lvl g in
+            let target = span_for lvl g in
             let left, right =
               List.partition
                 (fun (m : Table.meta) -> String.compare m.Table.smallest g < 0)
@@ -658,9 +447,9 @@ let recover ?env cfg =
             lvl.spans <- insert lvl.spans
           end
         | Manifest.Remove_bucket _ -> ()
-        | Manifest.Watermark { seq; next_file } ->
+        | Manifest.Watermark { seq; next_file = n } ->
           t.seq <- seq;
-          t.next_file <- max t.next_file next_file);
+          next_file := max !next_file n);
     let wal =
       Wal.recover env ~prefix:(cfg.name ^ "-wal")
         ~replay:(fun (r : Wal.record) ->
@@ -675,29 +464,7 @@ let recover ?env cfg =
     let t = { t with wal } in
     if Int64.compare (Wal.max_seq_logged wal) t.seq > 0 then
       t.seq <- Wal.max_seq_logged wal;
-    (* Garbage-collect fragment files no manifest edit survived for. *)
-    let live = Hashtbl.create 64 in
-    List.iter (fun (m : Table.meta) -> Hashtbl.replace live m.Table.name ()) t.l0;
-    Array.iter
-      (fun lvl ->
-        List.iter
-          (fun s ->
-            List.iter
-              (fun (m : Table.meta) -> Hashtbl.replace live m.Table.name ())
-              s.fragments)
-          lvl.spans)
-      t.levels;
-    let prefix = cfg.name ^ "-" in
-    let plen = String.length prefix in
-    List.iter
-      (fun f ->
-        if
-          String.length f > plen
-          && String.equal (String.sub f 0 plen) prefix
-          && Filename.check_suffix f ".sst"
-          && not (Hashtbl.mem live f)
-        then Env.delete env f)
-      (Env.list_files env);
+    Run_set.recover t.runs ~next_file:!next_file (all_tables t);
     t
   end
 
@@ -726,14 +493,6 @@ let put t ~key ~value = write_batch t [ (Ikey.Value, key, value) ]
 
 let delete t ~key = write_batch t [ (Ikey.Deletion, key, "") ]
 
-let span_containing lvl key =
-  let rec pick last = function
-    | [] -> last
-    | span :: rest ->
-      if String.compare span.guard key <= 0 then pick (Some span) rest else last
-  in
-  pick None lvl.spans
-
 let get_seq t key ~snapshot =
   match Skiplist.find t.mem key ~snapshot with
   | Some (Ikey.Value, v) -> Some v
@@ -744,7 +503,7 @@ let get_seq t key ~snapshot =
     let check_meta (m : Table.meta) =
       if not (Table.overlaps m ~lo:key ~hi:key) then None
       else
-        Table.Reader.get_encoded (reader_of t m) ~category:Io_stats.Read_path
+        Table.Reader.get_encoded (Run_set.reader t.runs m) ~category:Io_stats.Read_path
           target
     in
     let rec check_list = function
@@ -758,13 +517,10 @@ let get_seq t key ~snapshot =
     let rec levels level =
       if level >= t.cfg.max_levels then None
       else
-        match span_containing t.levels.(level) key with
-        | None -> levels (level + 1)
-        | Some span -> (
-          match check_list span.fragments with
-          | `Hit v -> Some v
-          | `Deleted -> None
-          | `Miss -> levels (level + 1))
+        match check_list (span_for t.levels.(level) key).fragments with
+        | `Hit v -> Some v
+        | `Deleted -> None
+        | `Miss -> levels (level + 1)
     in
     (match check_list t.l0 with
     | `Hit v -> Some v
@@ -776,65 +532,13 @@ let get t key = get_seq t key ~snapshot:t.seq
 let get_at t key ~snapshot =
   get_seq t key ~snapshot:snapshot.Wip_kv.Store_intf.snap_seq
 
+(* Seq.take raises on a negative count; a negative limit means "nothing". *)
 let scan_seq t ~lo ~hi ?(limit = max_int) ~snapshot () =
-  let from = Ikey.encode_seek lo ~seq:Ikey.max_seq in
-  let hi_enc = Ikey.encode_user hi in
-  let mem_seq =
-    Skiplist.to_sorted_seq t.mem
-    |> Seq.filter (fun ((ik : Ikey.t), _) ->
-           Ikey.compare_user ik.Ikey.user_key lo >= 0
-           && Ikey.compare_user ik.Ikey.user_key hi < 0)
-    |> Seq.map (fun (ik, v) -> (Ikey.encode ik, v))
-  in
-  let frag_seqs =
-    match store_view t with
-    | Some (view, runs) ->
-      [
-        Sorted_view.walk view ~from ~open_run:(view_open_run t runs)
-        |> Seq.take_while (fun (k, _) ->
-               Ikey.compare_encoded_user hi_enc k > 0);
-      ]
-    | None ->
-      List.filter_map
-        (fun (m : Table.meta) ->
-          (* Exclusive bound: a fragment starting exactly at [hi] holds
-             nothing in [lo, hi). *)
-          if Table.overlaps_excl m ~lo ~hi_excl:hi then
-            Some
-              (Table.Reader.stream (reader_of t m)
-                 ~category:Io_stats.Read_path ~fill_cache:false ~from ()
-              |> Seq.take_while (fun (k, _) ->
-                     Ikey.compare_encoded_user hi_enc k > 0))
-          else None)
-        (all_tables t)
-  in
-  let merged =
-    Merge_iter.compact ~dedup_user_keys:true ~drop_tombstones:false
-      ~snapshot_floor:snapshot (mem_seq :: frag_seqs)
-  in
-  let out = ref [] and n = ref 0 and last = ref None in
-  (try
-     Seq.iter
-       (fun (k, v) ->
-         if !n >= limit then raise Exit;
-         if Int64.compare (Ikey.encoded_seq k) snapshot <= 0 then begin
-           let dup =
-             match !last with
-             | Some prev -> Ikey.encoded_same_user prev k
-             | None -> false
-           in
-           if not dup then begin
-             last := Some k;
-             match Ikey.encoded_kind k with
-             | Ikey.Value ->
-               out := (Ikey.user_key_of_encoded k, v) :: !out;
-               incr n
-             | Ikey.Deletion -> ()
-           end
-         end)
-       merged
-   with Exit -> ());
-  List.rev !out
+  Run_set.range t.runs t.view (all_tables t) ~mem:(Skiplist.to_sorted_seq t.mem)
+    ~lo ~hi ~snapshot
+  |> Run_set.visible ~snapshot
+  |> Seq.take (max 0 limit)
+  |> List.of_seq
 
 let scan t ~lo ~hi ?limit () = scan_seq t ~lo ~hi ?limit ~snapshot:t.seq ()
 

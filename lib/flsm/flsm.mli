@@ -57,10 +57,4 @@ val live_table_files : t -> string list
 (** Names of every fragment file the guard structure references — after
     recovery, exactly the table files present on the Env. *)
 
-val live_snapshot_count : t -> int
-
-val oldest_snapshot_seq : t -> int64
-(** Version-GC floor: min over live pinned snapshots, [Int64.max_int] when
-    none — compaction then keeps only the newest version per key. *)
-
 include Wip_kv.Store_intf.S with type t := t

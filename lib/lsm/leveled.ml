@@ -3,7 +3,7 @@ module Env = Wip_storage.Env
 module Io_stats = Wip_storage.Io_stats
 module Table = Wip_sstable.Table
 module Merge_iter = Wip_sstable.Merge_iter
-module Sorted_view = Wip_sstable.Sorted_view
+module Run_set = Wip_runset.Run_set
 module Skiplist = Wip_memtable.Skiplist
 module Wal = Wip_wal.Wal
 module Manifest = Wip_manifest.Manifest
@@ -58,41 +58,41 @@ type t = {
   env : Env.t;
   wal : Wal.t;
   manifest : Manifest.t;
+  runs : Run_set.t;
+  view : Run_set.slot; (* one store-wide view over every live table *)
   mutable mem : Skiplist.t; (* guarded_by: caller *)
   mutable levels : Table.meta list array; (* guarded_by: caller *)
   (* L0: newest first (flush order); L1+: sorted by smallest key, disjoint. *)
-  readers : (string, Table.Reader.t) Hashtbl.t;
-  mutable next_file : int; (* guarded_by: caller *)
   mutable seq : int64; (* guarded_by: caller *)
   mutable compact_pointer : string array; (* round-robin cursor per level; guarded_by: caller *)
   mutable compactions : int; (* guarded_by: caller *)
-  mutable next_snap_id : int; (* guarded_by: caller *)
-  live_snaps : (int, int64) Hashtbl.t; (* snapshot id -> pinned seq *)
-  mutable view : (Sorted_view.t * Table.meta array) option; (* guarded_by: caller *)
-      (* Store-wide sorted view over the whole table set; None when absent
-         or invalidated. Scans build it lazily; compaction drops it. *)
 }
 
 let manifest_name cfg = cfg.name ^ "-manifest"
 
-let create ?env cfg =
-  let env = match env with Some e -> e | None -> Env.in_memory () in
+let make ~env ~wal ~manifest cfg =
   {
     cfg;
     env;
-    wal = Wal.create env ~prefix:(cfg.name ^ "-wal") ();
-    manifest = Manifest.create env ~name:(manifest_name cfg);
+    wal;
+    manifest;
+    runs =
+      Run_set.create env manifest ~name:cfg.name ~suffix:".sst"
+        ~bits_per_key:cfg.bits_per_key ~ph_index:cfg.ph_index
+        ~sorted_view:cfg.sorted_view
+        ~sorted_view_min_runs:cfg.sorted_view_min_runs;
+    view = Run_set.slot ();
     mem = Skiplist.create ();
     levels = Array.make cfg.max_levels [];
-    readers = Hashtbl.create 64;
-    next_file = 1;
     seq = 0L;
     compact_pointer = Array.make cfg.max_levels "";
     compactions = 0;
-    next_snap_id = 0;
-    live_snaps = Hashtbl.create 8;
-    view = None;
   }
+
+let create ?env cfg =
+  let env = match env with Some e -> e | None -> Env.in_memory () in
+  let wal = Wal.create env ~prefix:(cfg.name ^ "-wal") () in
+  make ~env ~wal ~manifest:(Manifest.create env ~name:(manifest_name cfg)) cfg
 
 let config t = t.cfg
 
@@ -102,48 +102,7 @@ let env t = t.env
 
 let io_stats t = Env.stats t.env
 
-let fresh_table_name t =
-  let n = t.next_file in
-  t.next_file <- n + 1;
-  Printf.sprintf "%s-%06d.sst" t.cfg.name n
-
-let reader_of t (meta : Table.meta) =
-  match Hashtbl.find_opt t.readers meta.Table.name with
-  | Some r -> r
-  | None ->
-    let r = Table.Reader.open_ t.env ~name:meta.Table.name in
-    Hashtbl.replace t.readers meta.Table.name r;
-    r
-
-let drop_table t (meta : Table.meta) =
-  (match Hashtbl.find_opt t.readers meta.Table.name with
-  | Some r ->
-    Table.Reader.close r;
-    Hashtbl.remove t.readers meta.Table.name
-  | None -> ());
-  Env.delete t.env meta.Table.name
-
-(* Pinned snapshots. This baseline's reads are eager (no lazy streams
-   escape a call), so pinning only needs the version-GC floor: while a
-   snapshot is live, compaction keeps every version a pinned seq can see
-   ([oldest_snapshot_seq] feeds [Merge_iter.compact ~snapshot_floor]). *)
-
-let oldest_snapshot_seq t =
-  Hashtbl.fold
-    (fun _ s acc -> if Int64.compare s acc < 0 then s else acc)
-    t.live_snaps Int64.max_int
-
-let live_snapshot_count t = Hashtbl.length t.live_snaps
-
-let snapshot t =
-  let id = t.next_snap_id in
-  t.next_snap_id <- id + 1;
-  Hashtbl.replace t.live_snaps id t.seq;
-  {
-    Wip_kv.Store_intf.snap_seq = t.seq;
-    snap_id = id;
-    snap_release = (fun () -> Hashtbl.remove t.live_snaps id);
-  }
+let snapshot t = Run_set.snapshot t.runs ~seq:t.seq
 
 let level_capacity t level =
   (* Level 0 is triggered by file count, not bytes. *)
@@ -153,154 +112,27 @@ let level_capacity t level =
 let level_bytes t level =
   List.fold_left (fun acc (m : Table.meta) -> acc + m.Table.size) 0 t.levels.(level)
 
-(* ------------------------------------------------------------------ *)
-(* Sorted view (REMIX-style; see Sorted_view and DESIGN.md). One view over
-   the whole table set — this baseline has a single key space, so "the run
-   set" is every live table. Streams are scan-resistant
-   (~fill_cache:false): replaying the store must not evict the point-read
-   working set. *)
-
-let invalidate_view t = t.view <- None
-
-let view_open_run t (runs : Table.meta array) r ~from =
-  Table.Reader.stream (reader_of t runs.(r)) ~category:Io_stats.Read_path
-    ~fill_cache:false ~from ()
-
 let all_tables t = Array.to_list t.levels |> List.concat
-
-let store_view t =
-  match t.view with
-  | Some vr -> Some vr
-  | None ->
-    if not t.cfg.sorted_view then None
-    else begin
-      let tables = all_tables t in
-      let n = List.length tables in
-      if n < t.cfg.sorted_view_min_runs || n > Sorted_view.max_runs then None
-      else begin
-        let runs = Array.of_list tables in
-        let started = Unix.gettimeofday () in
-        let view =
-          Sorted_view.build
-            (Array.map
-               (fun m ->
-                 Table.Reader.stream (reader_of t m)
-                   ~category:Io_stats.Read_path ~fill_cache:false ())
-               runs)
-        in
-        Io_stats.record_view_rebuild (io_stats t)
-          ~ns:(int_of_float ((Unix.gettimeofday () -. started) *. 1e9));
-        let vr = (view, runs) in
-        t.view <- Some vr;
-        Some vr
-      end
-    end
-
-(* Flush site: extend an existing view with the new L0 run instead of
-   dropping it. Stores that are never scanned never have a view and never
-   pay this. *)
-let view_note_flush t (meta : Table.meta) =
-  match t.view with
-  | None -> ()
-  | Some (view, runs) ->
-    if (not t.cfg.sorted_view) || Sorted_view.run_count view >= Sorted_view.max_runs
-    then invalidate_view t
-    else begin
-      let started = Unix.gettimeofday () in
-      let view' =
-        Sorted_view.add_run view ~open_run:(view_open_run t runs)
-          (Table.Reader.stream (reader_of t meta)
-             ~category:Io_stats.Read_path ~fill_cache:false ())
-      in
-      Io_stats.record_view_rebuild (io_stats t)
-        ~ns:(int_of_float ((Unix.gettimeofday () -. started) *. 1e9));
-      t.view <- Some (view', Array.append runs [| meta |])
-    end
 
 (* ------------------------------------------------------------------ *)
 (* Writing *)
 
 let flush_mem t =
   if Skiplist.count t.mem > 0 then begin
-    let name = fresh_table_name t in
-    let builder =
-      Table.Builder.create t.env ~name ~category:Io_stats.Flush
-        ~bits_per_key:t.cfg.bits_per_key ~ph_index:t.cfg.ph_index
-        ~expected_keys:(Skiplist.count t.mem) ()
-    in
-    Seq.iter (fun (ik, v) -> Table.Builder.add builder ik v)
-      (Skiplist.to_sorted_seq t.mem);
-    let meta = Table.Builder.finish builder in
-    t.levels.(0) <- meta :: t.levels.(0);
-    view_note_flush t meta;
-    Manifest.append t.manifest
-      (Manifest.Add_table
-         {
-           bucket = 0;
-           level = 0;
-           name = meta.Table.name;
-           size = meta.Table.size;
-           entry_count = meta.Table.entry_count;
-           smallest = meta.Table.smallest;
-           largest = meta.Table.largest;
-         });
-    Manifest.append t.manifest
-      (Manifest.Watermark { seq = t.seq; next_file = t.next_file });
+    Run_set.write t.runs ~category:Io_stats.Flush
+      ~expected_keys:(Skiplist.count t.mem)
+      (Seq.map (fun (ik, v) -> (Ikey.encode ik, v)) (Skiplist.to_sorted_seq t.mem))
+    |> List.iter (fun meta ->
+           t.levels.(0) <- meta :: t.levels.(0);
+           Run_set.extend t.runs t.view meta;
+           Run_set.log_add t.runs ~bucket:0 ~level:0 meta);
+    Run_set.log_watermark t.runs ~seq:t.seq;
     (* The flushed table's manifest edit must be durable before the WAL
        records it replaces are reclaimed. *)
     Manifest.sync t.manifest;
     t.mem <- Skiplist.create ();
     ignore (Wal.reclaim t.wal ~persisted_below:(Int64.add t.seq 1L))
   end
-
-(* Build one or more target-size output tables from a compacted (encoded)
-   entry sequence. [expected_keys] sizes each output's bloom filter; callers
-   derive it from the inputs' entry counts and byte sizes instead of a
-   guessed constant. *)
-let write_outputs t ~category ~expected_keys entries =
-  let outputs = ref [] in
-  let builder = ref None in
-  let start_builder () =
-    let name = fresh_table_name t in
-    let b =
-      Table.Builder.create t.env ~name ~category
-        ~bits_per_key:t.cfg.bits_per_key ~ph_index:t.cfg.ph_index
-        ~expected_keys ()
-    in
-    builder := Some b;
-    b
-  in
-  let finish_builder () =
-    match !builder with
-    | Some b ->
-      if Table.Builder.entry_count b > 0 then
-        outputs := Table.Builder.finish b :: !outputs
-      else Table.Builder.abandon b;
-      builder := None
-    | None -> ()
-  in
-  let last_key = ref None in
-  Seq.iter
-    (fun (key, value) ->
-      (* Split lazily, and never between two versions of one user key: with
-         a version-GC floor several versions of a key can flow through one
-         compaction, and the L1+ point-read probes exactly one table per
-         level — all of a key's versions must land in it. *)
-      (match (!builder, !last_key) with
-      | Some b, Some prev
-        when Table.Builder.estimated_size b >= t.cfg.sstable_bytes
-             && not (Ikey.encoded_same_user prev key) ->
-        finish_builder ()
-      | _ -> ());
-      last_key := Some key;
-      let b = match !builder with Some b -> b | None -> start_builder () in
-      Table.Builder.add_encoded b ~key ~value)
-    entries;
-  finish_builder ();
-  List.rev !outputs
-
-let table_seq t ~category meta =
-  Table.Reader.stream (reader_of t meta) ~category ~fill_cache:false ()
 
 (* Insert [metas] into sorted level list (levels >= 1 stay sorted by
    smallest key). *)
@@ -350,7 +182,9 @@ let compact_level t level =
       if List.memq m sources then Io_stats.Compaction_read level
       else Io_stats.Compaction_read target
     in
-    let seqs = List.map (fun m -> table_seq t ~category:(read_cat m) m) inputs in
+    let seqs =
+      List.map (fun m -> Run_set.stream t.runs ~category:(read_cat m) m) inputs
+    in
     (* Tombstones can be dropped when the output level is the deepest level
        holding data for this key range. The range must cover every INPUT:
        overlapping target-level files can extend beyond the sources' [lo,
@@ -379,7 +213,7 @@ let compact_level t level =
     let entries =
       Merge_iter.compact ~dedup_user_keys:true
         ~drop_tombstones:(not deeper_has_data)
-        ~snapshot_floor:(oldest_snapshot_seq t) seqs
+        ~snapshot_floor:(Run_set.oldest_snapshot_seq t.runs) seqs
     in
     (* Size each output's bloom from the inputs' observed entry density:
        expected keys per output ≈ target bytes / average entry size. *)
@@ -394,8 +228,8 @@ let compact_level t level =
       max 64 (t.cfg.sstable_bytes * total_count / max 1 total_bytes)
     in
     let outputs =
-      write_outputs t ~category:(Io_stats.Compaction target) ~expected_keys
-        entries
+      Run_set.write t.runs ~category:(Io_stats.Compaction target) ~expected_keys
+        ~max_bytes:t.cfg.sstable_bytes entries
     in
     (* Install: remove inputs, add outputs to target. *)
     if level = 0 then t.levels.(0) <- []
@@ -403,33 +237,18 @@ let compact_level t level =
       t.levels.(level) <-
         List.filter (fun m -> not (List.memq m sources)) t.levels.(level);
     t.levels.(target) <- sorted_level (untouched @ outputs);
-    invalidate_view t;
+    Run_set.invalidate t.view;
+    List.iter (Run_set.log_add t.runs ~bucket:0 ~level:target) outputs;
     List.iter
-      (fun (m : Table.meta) ->
-        Manifest.append t.manifest
-          (Manifest.Add_table
-             {
-               bucket = 0;
-               level = target;
-               name = m.Table.name;
-               size = m.Table.size;
-               entry_count = m.Table.entry_count;
-               smallest = m.Table.smallest;
-               largest = m.Table.largest;
-             }))
-      outputs;
-    List.iter
-      (fun (m : Table.meta) ->
-        let from_level = if List.memq m sources then level else target in
-        Manifest.append t.manifest
-          (Manifest.Remove_table { bucket = 0; level = from_level; name = m.Table.name }))
+      (fun m ->
+        let level = if List.memq m sources then level else target in
+        Run_set.log_remove t.runs ~bucket:0 ~level m)
       inputs;
-    Manifest.append t.manifest
-      (Manifest.Watermark { seq = t.seq; next_file = t.next_file });
+    Run_set.log_watermark t.runs ~seq:t.seq;
     (* Removes durable before the input files vanish, or recovery would
        replay a manifest referencing deleted files. *)
     Manifest.sync t.manifest;
-    List.iter (drop_table t) inputs
+    List.iter (Run_set.retire t.runs) inputs
   end
 
 (* LevelDB-style scores; >= 1.0 means the level needs compaction. *)
@@ -481,24 +300,13 @@ let recover ?env cfg =
   if not (Manifest.exists env ~name:(manifest_name cfg)) then create ~env cfg
   else begin
     let t =
-      {
-        cfg;
-        env;
-        (* Replaced below once the real WAL is recovered. *)
-        wal = Wal.create env ~prefix:(cfg.name ^ "-tmpwal") ();
-        manifest = Manifest.reopen env ~name:(manifest_name cfg);
-        mem = Skiplist.create ();
-        levels = Array.make cfg.max_levels [];
-        readers = Hashtbl.create 64;
-        next_file = 1;
-        seq = 0L;
-        compact_pointer = Array.make cfg.max_levels "";
-        compactions = 0;
-        next_snap_id = 0;
-        live_snaps = Hashtbl.create 8;
-        view = None;
-      }
+      (* The placeholder log is replaced below once the real WAL is
+         recovered. *)
+      make ~env ~wal:(Wal.create env ~prefix:(cfg.name ^ "-tmpwal") ())
+        ~manifest:(Manifest.reopen env ~name:(manifest_name cfg))
+        cfg
     in
+    let next_file = ref 1 in
     Manifest.replay env ~name:(manifest_name cfg) (fun edit ->
         match edit with
         | Manifest.Add_table { level; name; size; entry_count; smallest; largest; _ } ->
@@ -509,9 +317,9 @@ let recover ?env cfg =
             List.filter
               (fun (m : Table.meta) -> not (String.equal m.Table.name name))
               t.levels.(level)
-        | Manifest.Watermark { seq; next_file } ->
+        | Manifest.Watermark { seq; next_file = n } ->
           t.seq <- seq;
-          t.next_file <- max t.next_file next_file
+          next_file := max !next_file n
         | Manifest.Add_bucket _ | Manifest.Remove_bucket _ -> ());
     for level = 1 to cfg.max_levels - 1 do
       t.levels.(level) <- sorted_level t.levels.(level)
@@ -529,23 +337,7 @@ let recover ?env cfg =
     let t = { t with wal } in
     if Int64.compare (Wal.max_seq_logged wal) t.seq > 0 then
       t.seq <- Wal.max_seq_logged wal;
-    (* Garbage-collect table files no manifest edit survived for — debris
-       of a flush or compaction interrupted before its edits were synced. *)
-    let live = Hashtbl.create 64 in
-    Array.iter
-      (List.iter (fun (m : Table.meta) -> Hashtbl.replace live m.Table.name ()))
-      t.levels;
-    let prefix = cfg.name ^ "-" in
-    let plen = String.length prefix in
-    List.iter
-      (fun f ->
-        if
-          String.length f > plen
-          && String.equal (String.sub f 0 plen) prefix
-          && Filename.check_suffix f ".sst"
-          && not (Hashtbl.mem live f)
-        then Env.delete env f)
-      (Env.list_files env);
+    Run_set.recover t.runs ~next_file:!next_file (all_tables t);
     t
   end
 
@@ -583,7 +375,7 @@ let get_seq t key ~snapshot =
     let check_meta (m : Table.meta) =
       if not (Table.overlaps m ~lo:key ~hi:key) then None
       else
-        Table.Reader.get_encoded (reader_of t m) ~category:Io_stats.Read_path
+        Table.Reader.get_encoded (Run_set.reader t.runs m) ~category:Io_stats.Read_path
           target
     in
     let rec check_l0 = function
@@ -615,69 +407,13 @@ let get t key = get_seq t key ~snapshot:t.seq
 let get_at t key ~snapshot =
   get_seq t key ~snapshot:snapshot.Wip_kv.Store_intf.snap_seq
 
+(* Seq.take raises on a negative count; a negative limit means "nothing". *)
 let scan_seq t ~lo ~hi ?(limit = max_int) ~snapshot () =
-  let from = Ikey.encode_seek lo ~seq:Ikey.max_seq in
-  let hi_enc = Ikey.encode_user hi in
-  let mem_seq =
-    Skiplist.to_sorted_seq t.mem
-    |> Seq.filter (fun ((ik : Ikey.t), _) ->
-           Ikey.compare_user ik.Ikey.user_key lo >= 0
-           && Ikey.compare_user ik.Ikey.user_key hi < 0)
-    |> Seq.map (fun (ik, v) -> (Ikey.encode ik, v))
-  in
-  let table_seqs =
-    match store_view t with
-    | Some (view, runs) ->
-      [
-        Sorted_view.walk view ~from ~open_run:(view_open_run t runs)
-        |> Seq.take_while (fun (k, _) ->
-               Ikey.compare_encoded_user hi_enc k > 0);
-      ]
-    | None ->
-      Array.to_list t.levels
-      |> List.concat_map (fun level ->
-             List.filter_map
-               (fun m ->
-                 (* Exclusive bound: a table starting exactly at [hi] holds
-                    nothing in [lo, hi). *)
-                 if Table.overlaps_excl m ~lo ~hi_excl:hi then
-                   Some
-                     (Table.Reader.stream (reader_of t m)
-                        ~category:Io_stats.Read_path ~fill_cache:false ~from
-                        ()
-                     |> Seq.take_while (fun (k, _) ->
-                            Ikey.compare_encoded_user hi_enc k > 0))
-                 else None)
-               level)
-  in
-  let merged =
-    Merge_iter.compact ~dedup_user_keys:true ~drop_tombstones:false
-      ~snapshot_floor:snapshot
-      (mem_seq :: table_seqs)
-  in
-  let out = ref [] and n = ref 0 and last = ref None in
-  (try
-     Seq.iter
-       (fun (k, v) ->
-         if !n >= limit then raise Exit;
-         if Int64.compare (Ikey.encoded_seq k) snapshot <= 0 then begin
-           let dup =
-             match !last with
-             | Some prev -> Ikey.encoded_same_user prev k
-             | None -> false
-           in
-           if not dup then begin
-             last := Some k;
-             match Ikey.encoded_kind k with
-             | Ikey.Value ->
-               out := (Ikey.user_key_of_encoded k, v) :: !out;
-               incr n
-             | Ikey.Deletion -> ()
-           end
-         end)
-       merged
-   with Exit -> ());
-  List.rev !out
+  Run_set.range t.runs t.view (all_tables t) ~mem:(Skiplist.to_sorted_seq t.mem)
+    ~lo ~hi ~snapshot
+  |> Run_set.visible ~snapshot
+  |> Seq.take (max 0 limit)
+  |> List.of_seq
 
 let scan t ~lo ~hi ?limit () = scan_seq t ~lo ~hi ?limit ~snapshot:t.seq ()
 

@@ -239,10 +239,34 @@ let test_recover_fresh_env () =
   Leveled.put db ~key:"a" ~value:"b";
   Alcotest.(check (option string)) "acts as create" (Some "b") (Leveled.get db "a")
 
+(* Orphan GC at recovery deletes only this store's own table names
+   ("<name>-NNNNNN.sst"): a co-tenant whose name extends this one's keeps
+   its tables, while debris in this store's namespace goes. *)
+let test_recovery_gc_spares_cotenant () =
+  let env = Wip_storage.Env.in_memory () in
+  let db = Leveled.create ~env small_config in
+  let other =
+    Leveled.create ~env { small_config with Leveled.name = small_config.Leveled.name ^ "-x" }
+  in
+  Leveled.put db ~key:"a" ~value:"1";
+  Leveled.put other ~key:"b" ~value:"2";
+  Leveled.flush db;
+  Leveled.flush other;
+  let debris = small_config.Leveled.name ^ "-999999.sst" in
+  Wip_storage.Env.(close_writer (create_file env debris));
+  ignore (Leveled.recover ~env small_config);
+  Alcotest.(check bool) "debris collected" false (Wip_storage.Env.exists env debris);
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) (f ^ " kept") true (Wip_storage.Env.exists env f))
+    (Leveled.live_table_files other)
+
 let suite =
   suite
   @ [
       Alcotest.test_case "recovery roundtrip" `Quick test_recovery_roundtrip;
+      Alcotest.test_case "recovery GC spares a co-tenant" `Quick
+        test_recovery_gc_spares_cotenant;
       Alcotest.test_case "recovery of unflushed" `Quick
         test_recovery_of_unflushed_writes;
       Alcotest.test_case "recover fresh env" `Quick test_recover_fresh_env;

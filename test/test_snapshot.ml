@@ -5,6 +5,8 @@
    - the drain-before-write hazard on the POSIX Env: a pinned iter_range
      stream keeps draining across a compaction that retires its tables,
      and the retired files are reclaimed on release;
+   - on every engine, tables retired under a live pin stay on the Env
+     until release, and a repeated release is a no-op;
    - SI conflict matrix, and committed transactions surviving a crash;
    - scan-boundary regressions: 17+ bytes of 0xff stay visible, negative
      limits are clamped, boundary-adjacent tables are never fetched. *)
@@ -31,7 +33,9 @@ let small_config =
     name = "snap";
   }
 
-let make_engines () =
+(* Every engine, each paired with a listing of the table files it
+   references. *)
+let make_engines_with_tables () =
   let wip = Store.create { small_config with Config.name = "swip" } in
   let lvl =
     Wip_lsm.Leveled.create
@@ -53,10 +57,15 @@ let make_engines () =
       }
   in
   [
-    Store_intf.Store ((module Store), wip);
-    Store_intf.Store ((module Wip_lsm.Leveled), lvl);
-    Store_intf.Store ((module Wip_flsm.Flsm), flsm);
+    ( Store_intf.Store ((module Store), wip),
+      fun () -> Store.live_table_files wip );
+    ( Store_intf.Store ((module Wip_lsm.Leveled), lvl),
+      fun () -> Wip_lsm.Leveled.live_table_files lvl );
+    ( Store_intf.Store ((module Wip_flsm.Flsm), flsm),
+      fun () -> Wip_flsm.Flsm.live_table_files flsm );
   ]
+
+let make_engines () = List.map fst (make_engines_with_tables ())
 
 (* ------------------------------------------------------------------ *)
 (* Property: a pinned snapshot always reads exactly the model captured at
@@ -199,6 +208,70 @@ let test_pinned_stream_survives_retirement_posix () =
   (* Releasing twice is harmless. *)
   Wip_kv.Store_intf.release snap
 
+(* Every engine retires through the same zombie-aware path: a table that
+   leaves the engine while a snapshot is live stays on the Env until that
+   snapshot releases, then goes; releasing again changes nothing. *)
+
+let table_files env =
+  Env.list_files env
+  |> List.filter (fun f ->
+         Filename.check_suffix f ".lvt" || Filename.check_suffix f ".sst")
+  |> List.sort String.compare
+
+let test_retired_tables_wait_for_release () =
+  List.iter
+    (fun (s, live_tables) ->
+      let name = Store_intf.store_name s in
+      let env = Store_intf.env s in
+      let write tag =
+        for i = 0 to 299 do
+          Store_intf.put s ~key:(key i) ~value:(tag ^ string_of_int i)
+        done;
+        Store_intf.flush s
+      in
+      let left_engine () =
+        let live = live_tables () in
+        List.filter (fun f -> not (List.mem f live)) (table_files env)
+      in
+      let churn tag =
+        let before = live_tables () in
+        write tag;
+        Store_intf.maintenance s ();
+        let live = live_tables () in
+        match List.filter (fun f -> not (List.mem f live)) before with
+        | [] -> Alcotest.failf "%s: churn %s retired no table" name tag
+        | gone ->
+          List.iter
+            (fun f ->
+              if not (Env.exists env f) then
+                Alcotest.failf "%s: %s deleted while pinned" name f)
+            gone
+      in
+      write "a";
+      let snap = Store_intf.snapshot s in
+      churn "b";
+      Alcotest.(check (list (pair string string)))
+        (name ^ ": pinned scan reads the retired tables")
+        (List.init 300 (fun i -> (key i, "a" ^ string_of_int i)))
+        (Store_intf.scan_at s ~lo:"" ~hi:"\255" ~snapshot:snap ());
+      Store_intf.release snap;
+      Alcotest.(check (list string))
+        (name ^ ": release reclaims every retired table")
+        [] (left_engine ());
+      (* A second release must not reclaim what a newer pin still holds. *)
+      let snap2 = Store_intf.snapshot s in
+      churn "c";
+      let held = left_engine () in
+      Store_intf.release snap;
+      Alcotest.(check (list string))
+        (name ^ ": second release is a no-op")
+        held (left_engine ());
+      Store_intf.release snap2;
+      Alcotest.(check (list string))
+        (name ^ ": newer pin's tables reclaimed")
+        [] (left_engine ()))
+    (make_engines_with_tables ())
+
 (* ------------------------------------------------------------------ *)
 (* SI transactions *)
 
@@ -310,39 +383,43 @@ let test_committed_txns_survive_crash () =
 (* Scan-boundary regressions *)
 
 let test_long_0xff_keys_visible () =
-  let db = Store.create small_config in
-  let k17 = String.make 17 '\255' in
-  let k20 = String.make 20 '\255' in
-  Store.put db ~key:k17 ~value:"a";
-  Store.put db ~key:k20 ~value:"b";
-  Store.put db ~key:"zzz" ~value:"c";
-  let hi = String.make 32 '\255' in
-  let check_visible stage =
-    Alcotest.(check (list (pair string string)))
-      (stage ^ ": all-0xff keys in scan")
-      [ ("zzz", "c"); (k17, "a"); (k20, "b") ]
-      (Store.scan db ~lo:"z" ~hi ());
-    Alcotest.(check (option string)) (stage ^ ": 17-byte get") (Some "a")
-      (Store.get db k17);
-    Alcotest.(check (option string)) (stage ^ ": 20-byte get") (Some "b")
-      (Store.get db k20)
-  in
-  check_visible "memtable";
-  Store.flush db;
-  Store.maintenance db ();
-  check_visible "tables";
-  (* The old sentinel made [lo] at/above 17 bytes of 0xff skip the last
-     bucket entirely. *)
-  Alcotest.(check (list (pair string string)))
-    "scan starting at the old sentinel"
-    [ (k17, "a"); (k20, "b") ]
-    (Store.scan db ~lo:k17 ~hi ());
-  let snap = Store.snapshot db in
-  Alcotest.(check (list (pair string string)))
-    "pinned scan past the old sentinel"
-    [ (k17, "a"); (k20, "b") ]
-    (Store.scan_at db ~lo:k17 ~hi ~snapshot:snap ());
-  Wip_kv.Store_intf.release snap
+  List.iter
+    (fun s ->
+      let name = Store_intf.store_name s in
+      let k17 = String.make 17 '\255' in
+      let k20 = String.make 20 '\255' in
+      Store_intf.put s ~key:k17 ~value:"a";
+      Store_intf.put s ~key:k20 ~value:"b";
+      Store_intf.put s ~key:"zzz" ~value:"c";
+      let hi = String.make 32 '\255' in
+      let check_visible stage =
+        let stage = name ^ ", " ^ stage in
+        Alcotest.(check (list (pair string string)))
+          (stage ^ ": all-0xff keys in scan")
+          [ ("zzz", "c"); (k17, "a"); (k20, "b") ]
+          (Store_intf.scan s ~lo:"z" ~hi ());
+        Alcotest.(check (option string)) (stage ^ ": 17-byte get") (Some "a")
+          (Store_intf.get s k17);
+        Alcotest.(check (option string)) (stage ^ ": 20-byte get") (Some "b")
+          (Store_intf.get s k20)
+      in
+      check_visible "memtable";
+      Store_intf.flush s;
+      Store_intf.maintenance s ();
+      check_visible "tables";
+      (* The old sentinel made [lo] at/above 17 bytes of 0xff skip the last
+         bucket entirely. *)
+      Alcotest.(check (list (pair string string)))
+        (name ^ ": scan starting at the old sentinel")
+        [ (k17, "a"); (k20, "b") ]
+        (Store_intf.scan s ~lo:k17 ~hi ());
+      let snap = Store_intf.snapshot s in
+      Alcotest.(check (list (pair string string)))
+        (name ^ ": pinned scan past the old sentinel")
+        [ (k17, "a"); (k20, "b") ]
+        (Store_intf.scan_at s ~lo:k17 ~hi ~snapshot:snap ());
+      Store_intf.release snap)
+    (make_engines ())
 
 let test_negative_limit_clamped () =
   List.iter
@@ -373,29 +450,31 @@ let test_negative_limit_clamped () =
     (make_engines ())
 
 let test_boundary_table_not_fetched () =
-  let env = Env.in_memory () in
-  let db = Store.create ~env { small_config with Config.name = "bnd" } in
-  (* A single table whose smallest key is exactly the scan's exclusive
-     upper bound. *)
-  Store.put db ~key:"m" ~value:"v0";
-  for i = 1 to 19 do
-    Store.put db ~key:(Printf.sprintf "m%02d" i) ~value:"v"
-  done;
-  Store.flush db;
-  Store.maintenance db ();
-  let stats = Env.stats env in
-  let read () = Io_stats.read_by stats Io_stats.Read_path in
-  let b0 = read () in
-  Alcotest.(check (list (pair string string)))
-    "scan below the boundary" []
-    (Store.scan db ~lo:"a" ~hi:"m" ());
-  Alcotest.(check int) "boundary table not fetched" 0 (read () - b0);
-  (* Sanity: the instrument fires as soon as the bound admits the table. *)
-  Alcotest.(check (list (pair string string)))
-    "inclusive bound reads it"
-    [ ("m", "v0") ]
-    (Store.scan db ~lo:"a" ~hi:"m\001" ());
-  Alcotest.(check bool) "fetch observed" true (read () - b0 > 0)
+  List.iter
+    (fun s ->
+      let name = Store_intf.store_name s in
+      (* A single table whose smallest key is exactly the scan's exclusive
+         upper bound. *)
+      Store_intf.put s ~key:"m" ~value:"v0";
+      for i = 1 to 19 do
+        Store_intf.put s ~key:(Printf.sprintf "m%02d" i) ~value:"v"
+      done;
+      Store_intf.flush s;
+      Store_intf.maintenance s ();
+      let read () = Io_stats.read_by (Store_intf.io_stats s) Io_stats.Read_path in
+      let b0 = read () in
+      Alcotest.(check (list (pair string string)))
+        (name ^ ": scan below the boundary")
+        []
+        (Store_intf.scan s ~lo:"a" ~hi:"m" ());
+      Alcotest.(check int) (name ^ ": boundary table not fetched") 0 (read () - b0);
+      (* Sanity: the instrument fires as soon as the bound admits the table. *)
+      Alcotest.(check (list (pair string string)))
+        (name ^ ": inclusive bound reads it")
+        [ ("m", "v0") ]
+        (Store_intf.scan s ~lo:"a" ~hi:"m\001" ());
+      Alcotest.(check bool) (name ^ ": fetch observed") true (read () - b0 > 0))
+    (make_engines ())
 
 let suite =
   [
@@ -403,6 +482,8 @@ let suite =
       test_pinned_reads_exact;
     Alcotest.test_case "pinned stream survives retirement (posix)" `Quick
       test_pinned_stream_survives_retirement_posix;
+    Alcotest.test_case "retired tables wait for release (all engines)" `Quick
+      test_retired_tables_wait_for_release;
     Alcotest.test_case "SI conflict matrix" `Quick test_txn_conflict_matrix;
     Alcotest.test_case "committed txns survive crash" `Quick
       test_committed_txns_survive_crash;
