@@ -6,7 +6,7 @@ let create ~seed = { state = seed }
 
 let copy t = { state = t.state }
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
@@ -44,9 +44,21 @@ let float t =
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 
+(* Byte for byte the stream of [int t 256], without its per-draw boxing:
+   the state lives in a local that the compiler keeps unboxed and is written
+   back once, and each draw applies [int64]'s rejection rule for bound 256. *)
 let bytes t n =
   let b = Bytes.create n in
-  for i = 0 to n - 1 do
-    Bytes.unsafe_set b i (Char.unsafe_chr (int t 256))
+  let state = ref t.state in
+  let i = ref 0 in
+  while !i < n do
+    state := Int64.add !state golden_gamma;
+    let raw = Int64.shift_right_logical (mix !state) 1 in
+    let v = Int64.logand raw 0xffL in
+    if Int64.sub raw v <= Int64.sub Int64.max_int 257L then begin
+      Bytes.unsafe_set b !i (Char.unsafe_chr (Int64.to_int v));
+      incr i
+    end
   done;
+  t.state <- !state;
   b
