@@ -1,4 +1,4 @@
-(** K-way merge of ordered sequences (pairing heap).
+(** K-way merge of ordered sequences (array binary heap).
 
     The store-facing entry points ({!merge}, {!compact}) operate on
     {e encoded} internal keys — raw strings in memcomparable form (see
@@ -10,8 +10,10 @@
 val merge_by :
   compare:('k -> 'k -> int) -> ('k * 'v) Seq.t list -> ('k * 'v) Seq.t
 (** Inputs must each be sorted by [compare] on their first components; the
-    merged output preserves that order (stable across inputs only up to
-    [compare]-equality). *)
+    merged output preserves that order, and equal keys from different inputs
+    come out in input-list order (a stable merge). Each input's first
+    element is forced by the call itself. The result is one-shot: force each
+    of its nodes at most once. *)
 
 val merge : (string * string) Seq.t list -> (string * string) Seq.t
 (** {!merge_by} with [String.compare] — encoded internal-key order. *)
