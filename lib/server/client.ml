@@ -1,9 +1,8 @@
 type t = {
   fd : Unix.file_descr;
-  chunk : Bytes.t;
   (* A client handle is single-threaded by contract — callers own the
      request/response pairing; nothing here is shared. *)
-  mutable data : string; (* unconsumed response bytes; guarded_by: caller *)
+  input : Protocol.Inbuf.t; (* unconsumed response bytes *)
   mutable next_id : int; (* guarded_by: caller *)
 }
 
@@ -27,7 +26,7 @@ let connect ?(addr = "127.0.0.1") ~port () =
    with e ->
      Netio.close_quietly fd;
      raise e);
-  { fd; chunk = Bytes.create 65536; data = ""; next_id = 1 }
+  { fd; input = Protocol.Inbuf.create (); next_id = 1 }
 
 let close t = Netio.close_quietly t.fd
 
@@ -38,17 +37,12 @@ let send t req =
   id
 
 let rec recv t =
-  match Protocol.decode_response t.data ~pos:0 with
-  | Protocol.Frame { id; payload; next } ->
-    t.data <- String.sub t.data next (String.length t.data - next);
-    Ok (id, payload)
+  match Protocol.Inbuf.decode_response t.input with
+  | Protocol.Frame { id; payload; _ } -> Ok (id, payload)
   | Protocol.Fail e -> Error (Protocol_failure e)
-  | Protocol.Need_more -> (
-    match Netio.read_chunk t.fd t.chunk with
-    | None -> Error Disconnected
-    | Some n ->
-      t.data <- t.data ^ Bytes.sub_string t.chunk 0 n;
-      recv t)
+  | Protocol.Need_more ->
+    if Protocol.Inbuf.fill t.input (Netio.read_chunk t.fd) then recv t
+    else Error Disconnected
 
 (* Synchronous round-trip: with no other request outstanding, the next
    response must answer ours. *)

@@ -15,16 +15,15 @@ let write_all fd s =
   in
   go 0
 
-(* One read into [chunk]; Some n bytes, or None on EOF / a dead socket.
-   A connection closed under a blocked read surfaces as EBADF — that is
-   the server's shutdown path, not an error. *)
-let read_chunk fd chunk =
-  match Unix.read fd chunk 0 (Bytes.length chunk) with
-  | 0 -> None
-  | n -> Some n
+(* One read of up to [len] bytes into [buf] at [off]; the byte count, or 0
+   on EOF / a dead socket. A connection closed under a blocked read
+   surfaces as EBADF — that is the server's shutdown path, not an error. *)
+let read_chunk fd buf off len =
+  match Unix.read fd buf off len with
+  | n -> n
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _)
     ->
-    None
+    0
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 

@@ -162,22 +162,14 @@ let unregister t conn =
       t.conns <- List.filter (fun c -> not (c == conn)) t.conns)
 
 let reader t conn () =
-  let chunk = Bytes.create 65536 in
-  (* [data] holds unconsumed input; [pos] the scan offset into it. The
-     consumed prefix is dropped whenever more input is needed. *)
-  let rec loop data pos =
-    match Protocol.decode_request data ~pos with
-    | Protocol.Frame { id; payload; next } ->
+  let input = Protocol.Inbuf.create () in
+  let rec loop () =
+    match Protocol.Inbuf.decode_request input with
+    | Protocol.Frame { id; payload; _ } ->
       enqueue t conn ~id payload;
-      loop data next
-    | Protocol.Need_more -> (
-      let data =
-        if pos = 0 then data
-        else String.sub data pos (String.length data - pos)
-      in
-      match Netio.read_chunk conn.fd chunk with
-      | None -> ()
-      | Some n -> loop (data ^ Bytes.sub_string chunk 0 n) 0)
+      loop ()
+    | Protocol.Need_more ->
+      if Protocol.Inbuf.fill input (Netio.read_chunk conn.fd) then loop ()
     | Protocol.Fail e ->
       (* Typed decode failure. The stream is unsynchronized from here, so
          answer (id 0 — the frame's own id may be the corrupt part) and
@@ -187,7 +179,7 @@ let reader t conn () =
            (Protocol.Bad_request
               { message = Protocol.protocol_error_to_string e }))
   in
-  (try loop "" 0 with Unix.Unix_error _ -> ());
+  (try loop () with Unix.Unix_error _ -> ());
   unregister t conn
 
 (* ------------------------------------------------------------------ *)

@@ -148,6 +148,90 @@ let qcheck_corruption_never_raises =
       | Protocol.Frame _ | Protocol.Need_more | Protocol.Fail _ -> true)
 
 (* ------------------------------------------------------------------ *)
+(* Stream reassembly *)
+
+(* A response stream cut into chunks: one byte at a time, small pieces
+   (splits inside the 8-byte header included), or pieces larger than the
+   input buffer. Fed through [Inbuf], it must decode to exactly the frames
+   a one-shot walk of the whole stream gives, and leave nothing behind. *)
+let chunked_stream_gen =
+  QCheck.Gen.(
+    let big = map (fun n -> Protocol.Value { value = String.make n 'v' }) (int_range 60_000 140_000) in
+    pair
+      (list_size (int_range 1 8) (frequency [ (9, response_gen); (1, big) ]))
+      (pair (oneofl [ `Ones; `Small; `Large ]) (list_size (int_range 1 64) nat)))
+
+let qcheck_inbuf_reassembly =
+  QCheck.Test.make ~name:"chunked input reassembles to one-shot frames" ~count:200
+    (QCheck.make chunked_stream_gen)
+    (fun (rs, (mode, cuts)) ->
+      let s =
+        String.concat ""
+          (List.mapi (fun i r -> Protocol.encode_response ~id:(i + 1) r) rs)
+      in
+      let rec one_shot pos acc =
+        match Protocol.decode_response s ~pos with
+        | Protocol.Frame { id; payload; next } -> one_shot next ((id, payload) :: acc)
+        | _ -> List.rev acc
+      in
+      let cuts = Array.of_list cuts in
+      let chunk i =
+        match mode with
+        | `Ones -> 1
+        | `Small -> 1 + (cuts.(i mod Array.length cuts) mod 13)
+        | `Large -> 1 + (cuts.(i mod Array.length cuts) mod 200_000)
+      in
+      (* [read] serves the next chunk, or as much of it as fits. *)
+      let sent = ref 0 and left = ref 0 and k = ref 0 in
+      let read buf off len =
+        if !left = 0 then begin
+          left := min (chunk !k) (String.length s - !sent);
+          incr k
+        end;
+        let n = min !left len in
+        Bytes.blit_string s !sent buf off n;
+        sent := !sent + n;
+        left := !left - n;
+        n
+      in
+      let input = Protocol.Inbuf.create () in
+      let rec drain acc =
+        match Protocol.Inbuf.decode_response input with
+        | Protocol.Frame { id; payload; _ } -> drain ((id, payload) :: acc)
+        | Protocol.Need_more ->
+          if Protocol.Inbuf.fill input read then drain acc else Some (List.rev acc)
+        | Protocol.Fail _ -> None
+      in
+      drain [] = Some (one_shot 0 []) && !sent = String.length s)
+
+(* The encoder writes a frame into one buffer of the frame's size: a
+   50-entry scan answer allocates at most its own length plus a little
+   bookkeeping. *)
+let test_encode_alloc_bound () =
+  let entries =
+    List.init 50 (fun i -> (Printf.sprintf "key-%012d" i, String.make 100 'v'))
+  in
+  let resp = Protocol.Entries entries in
+  let frame_len = String.length (Protocol.encode_response ~id:1 resp) in
+  let runs = 100 in
+  let per_frame () =
+    let before = Gc.allocated_bytes () in
+    for i = 1 to runs do
+      ignore (Sys.opaque_identity (Protocol.encode_response ~id:i resp))
+    done;
+    (Gc.allocated_bytes () -. before) /. float_of_int runs
+  in
+  (* Frames this size go straight to the major heap, whose counters also
+     pick up work that runs during its slices (the first rounds of a fresh
+     process read high). Other work can only add to a round's count, so the
+     least of a few rounds after a full collection is judged. *)
+  Gc.full_major ();
+  let bytes = List.fold_left min infinity (List.init 3 (fun _ -> per_frame ())) in
+  if bytes > float_of_int (frame_len + 512) then
+    Alcotest.failf "encoding a %d-byte frame allocates %.0f bytes (bound %d)"
+      frame_len bytes (frame_len + 512)
+
+(* ------------------------------------------------------------------ *)
 (* Hand-built adversarial frames: each failure mode maps onto its typed
    error, not onto a neighbouring one. *)
 
@@ -326,6 +410,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_stream_of_frames;
     QCheck_alcotest.to_alcotest qcheck_truncation_is_need_more;
     QCheck_alcotest.to_alcotest qcheck_corruption_never_raises;
+    QCheck_alcotest.to_alcotest qcheck_inbuf_reassembly;
+    Alcotest.test_case "encode allocates one frame" `Quick test_encode_alloc_bound;
     Alcotest.test_case "adversarial frames yield typed errors" `Quick
       test_adversarial_frames;
     Alcotest.test_case "zero-length and binary payloads" `Quick
