@@ -86,6 +86,8 @@ let decode_footer s =
     largest;
   }
 
+let seal_bytes = 4
+
 let seal_block raw =
   let crc = Crc32c.masked (Crc32c.string raw) in
   let buf = Buffer.create (String.length raw + 4) in
@@ -101,8 +103,3 @@ let unseal_block sealed =
   if Crc32c.masked (Crc32c.string raw) <> stored then
     invalid_arg "Table_format.unseal_block: checksum mismatch";
   raw
-
-let strip_seal sealed =
-  let n = String.length sealed in
-  if n < 4 then invalid_arg "Table_format.strip_seal: too short";
-  String.sub sealed 0 (n - 4)

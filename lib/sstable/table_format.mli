@@ -48,13 +48,14 @@ val footer_fixed_prefix_length : int
     last [footer_fixed_prefix_length] bytes first to discover the full
     footer extent. *)
 
+val seal_bytes : int
+(** Length of the checksum trailer {!seal_block} appends. A block whose
+    checksum an earlier read already verified is fetched without it (see
+    [Env.read]'s [trailer]). *)
+
 val seal_block : string -> string
 (** Append the masked CRC-32C trailer to raw block bytes. *)
 
 val unseal_block : string -> string
 (** Verify and strip the trailer.
     @raise Invalid_argument on checksum mismatch. *)
-
-val strip_seal : string -> string
-(** Strip the trailer without verifying it — for blocks whose checksum an
-    earlier read of the same file already verified. *)

@@ -232,12 +232,15 @@ let open_file t name =
     let cr = c.c_open name in
     { r_env = t; r_size = cr.cr_size; r_impl = R_custom cr }
 
-let read r ~category ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > r.r_size then
+let read ?(trailer = 0) r ~category ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > r.r_size || trailer < 0 || trailer > len
+  then
     invalid_arg
-      (Printf.sprintf "Env.read: range [%d, %d+%d) out of bounds (size %d)"
-         pos pos len r.r_size);
+      (Printf.sprintf
+         "Env.read: range [%d, %d+%d) trailer %d out of bounds (size %d)" pos
+         pos len trailer r.r_size);
   Io_stats.record_read r.r_env.stats category len;
+  let len = len - trailer in
   match r.r_impl with
   | R_mem s -> String.sub s pos len
   | R_posix ic ->

@@ -131,8 +131,26 @@ val close_writer : writer -> unit
 val open_file : t -> string -> reader
 (** @raise Not_found if the file does not exist. *)
 
-val read : reader -> category:Io_stats.category -> pos:int -> len:int -> string
-(** @raise Invalid_argument when the range is out of bounds. *)
+val read :
+  ?trailer:int ->
+  reader ->
+  category:Io_stats.category ->
+  pos:int ->
+  len:int ->
+  string
+(** The [len] bytes at [pos], all accounted to [category], less the last
+    [trailer] of them (default 0), which are accounted but neither read nor
+    returned: a block whose checksum trailer was verified before is fetched
+    with one allocation of its payload.
+
+    Not safe for concurrent use of one reader. On a {!posix} reader a read
+    is two operations on one shared channel, [seek_in] then
+    [really_input_string]; two reads interleaved between them can return
+    each other's bytes. It is safe only because every engine reaches its
+    tables under its shard lock ({!Wip_concurrent.Sharded_store} holds the
+    owning shard's lock across every store call, maintenance included), so
+    no two domains ever read one reader at once.
+    @raise Invalid_argument when the range or [trailer] is out of bounds. *)
 
 val read_all : reader -> category:Io_stats.category -> string
 
