@@ -818,8 +818,24 @@ let visible_seq t ~lo ~hi ~snapshot =
       ~mem:(Array.to_seq (Memtable.sorted_entries b.memtable))
       ~lo ~hi ~snapshot ()
   in
-  Seq.concat (List.to_seq (List.map bucket_seq relevant))
-  |> Run_set.visible ~snapshot
+  (* The buckets' streams back to back, entered lazily in key order; the
+     state lives in the closure, so an entry costs one output cell. *)
+  let pending = ref (List.map bucket_seq relevant) and current = ref Seq.empty in
+  let rec concat () =
+    match !current () with
+    | Seq.Cons (entry, rest) ->
+      current := rest;
+      Seq.Cons (entry, concat)
+    | Seq.Nil -> (
+      current := Seq.empty;
+      match !pending with
+      | [] -> Seq.Nil
+      | next :: more ->
+        pending := more;
+        current := next;
+        concat ())
+  in
+  Run_set.visible ~snapshot concat
 
 let iter_range t ?snapshot ~lo ~hi () =
   let snapshot =
@@ -827,9 +843,8 @@ let iter_range t ?snapshot ~lo ~hi () =
   in
   visible_seq t ~lo ~hi ~snapshot
 
-(* Seq.take raises on a negative count; a negative limit means "nothing". *)
 let scan_at_seq t ~lo ~hi ?(limit = max_int) ~snapshot () =
-  visible_seq t ~lo ~hi ~snapshot |> Seq.take (max 0 limit) |> List.of_seq
+  Run_set.take limit (visible_seq t ~lo ~hi ~snapshot)
 
 
 (* ------------------------------------------------------------------ *)

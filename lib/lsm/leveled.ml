@@ -407,13 +407,11 @@ let get t key = get_seq t key ~snapshot:t.seq
 let get_at t key ~snapshot =
   get_seq t key ~snapshot:snapshot.Wip_kv.Store_intf.snap_seq
 
-(* Seq.take raises on a negative count; a negative limit means "nothing". *)
 let scan_seq t ~lo ~hi ?(limit = max_int) ~snapshot () =
   Run_set.range t.runs t.view (all_tables t) ~mem:(Skiplist.to_sorted_seq t.mem)
     ~lo ~hi ~snapshot
   |> Run_set.visible ~snapshot
-  |> Seq.take (max 0 limit)
-  |> List.of_seq
+  |> Run_set.take limit
 
 let scan t ~lo ~hi ?limit () = scan_seq t ~lo ~hi ?limit ~snapshot:t.seq ()
 

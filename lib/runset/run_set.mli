@@ -145,4 +145,8 @@ val visible : snapshot:int64 -> (string * string) Seq.t -> (string * string) Seq
 (** User-level view of a {!range} stream (or a concatenation of them over
     disjoint key ranges): versions newer than [snapshot] are skipped, the
     newest remaining version of each key decides, tombstones are dropped.
-    Lazy; only emitted keys are unescaped. *)
+    Lazy and one-shot; only emitted keys are unescaped. *)
+
+val take : int -> 'a Seq.t -> 'a list
+(** The first [limit] elements, forcing none past them; a negative [limit]
+    gives [[]]. *)

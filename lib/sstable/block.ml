@@ -157,15 +157,29 @@ module Cursor = struct
       t.key_buf <- bigger
     end
 
+  (* Entry headers are varints read in place at [t.pos], which they
+     advance: no (value, offset) pair per field on the scan path. Same
+     checks, in the same order, as [Coding.get_varint]. *)
+  let rec varint_from t shift acc =
+    if t.pos >= String.length t.raw then invalid_arg "Coding.get_varint: truncated";
+    if shift > 63 then invalid_arg "Coding.get_varint: overlong";
+    let byte = Char.code (String.unsafe_get t.raw t.pos) in
+    t.pos <- t.pos + 1;
+    let acc = acc lor ((byte land 0x7f) lsl shift) in
+    if byte land 0x80 = 0 then acc else varint_from t (shift + 7) acc
+
+  let varint t = varint_from t 0 0
+
   let next t =
     if t.pos >= t.restart_base then begin
       t.valid <- false;
       false
     end
     else begin
-      let shared, off = Coding.get_varint t.raw t.pos in
-      let unshared, off = Coding.get_varint t.raw off in
-      let vlen, off = Coding.get_varint t.raw off in
+      let shared = varint t in
+      let unshared = varint t in
+      let vlen = varint t in
+      let off = t.pos in
       if (t.valid && shared > t.key_len) || (not t.valid) && shared > 0 then
         invalid_arg "Block.Cursor: shared prefix without predecessor";
       if off + unshared + vlen > t.restart_base then
@@ -195,41 +209,32 @@ module Cursor = struct
 
   let value_length t = t.val_len
 
+  (* Bytewise comparison of [a]'s first [la] bytes at [a_off] against
+     [target]: the loop under both key comparisons, closure-free. *)
+  let rec compare_from a ~a_off ~la target i n =
+    if i = n then Int.compare la (String.length target)
+    else
+      let c = Char.compare (String.unsafe_get a (a_off + i)) (String.unsafe_get target i) in
+      if c <> 0 then c else compare_from a ~a_off ~la target (i + 1) n
+
   let compare_key t target =
-    let lt = String.length target in
-    let n = min t.key_len lt in
-    let rec loop i =
-      if i = n then Int.compare t.key_len lt
-      else
-        let c =
-          Char.compare (Bytes.unsafe_get t.key_buf i) (String.unsafe_get target i)
-        in
-        if c <> 0 then c else loop (i + 1)
-    in
-    loop 0
+    compare_from
+      (Bytes.unsafe_to_string t.key_buf)
+      ~a_off:0 ~la:t.key_len target 0
+      (min t.key_len (String.length target))
 
   (* Compare the key stored at restart [i] against [target] straight out of
      the raw block: restart entries carry their full key (shared = 0), so no
-     reconstruction or copy is needed. *)
+     reconstruction or copy is needed. Parses at [t.pos], which {!seek}
+     repositions after its probes. *)
   let compare_restart t i target =
-    let off = restart_offset t.raw t.restart_base i in
-    let shared, off = Coding.get_varint t.raw off in
-    let unshared, off = Coding.get_varint t.raw off in
-    let _vlen, off = Coding.get_varint t.raw off in
+    t.pos <- restart_offset t.raw t.restart_base i;
+    let shared = varint t in
+    let unshared = varint t in
+    let _vlen = varint t in
     if shared <> 0 then invalid_arg "Block.Cursor: restart with shared prefix";
-    let lt = String.length target in
-    let n = min unshared lt in
-    let rec loop i =
-      if i = n then Int.compare unshared lt
-      else
-        let c =
-          Char.compare
-            (String.unsafe_get t.raw (off + i))
-            (String.unsafe_get target i)
-        in
-        if c <> 0 then c else loop (i + 1)
-    in
-    loop 0
+    compare_from t.raw ~a_off:t.pos ~la:unshared target 0
+      (min unshared (String.length target))
 
   let seek t target =
     if t.restart_count = 0 || t.restart_base = 0 then begin
