@@ -4,6 +4,13 @@ let slots_per_entry = 8
 
 type item = { ikey : Ikey.t; value : string }
 
+(* Fillers for unused array slots, allocated once: [Array.make] of more
+   than 256 slots with a filler still in the minor heap forces a
+   stop-the-world minor collection on every domain. *)
+let empty_item = { ikey = Ikey.make "" ~seq:0L; value = "" }
+
+let no_entry = (empty_item.ikey, empty_item.value)
+
 type t = {
   (* Directory: entry [e], slot [s] lives at tags.(e * 8 + s) / refs.(e * 8 + s).
      A tag of 0 means the slot is empty; slots fill left to right (a log). *)
@@ -31,7 +38,7 @@ let create ~capacity_items =
     tags = Array.make (entry_count * slots_per_entry) 0;
     refs = Array.make (entry_count * slots_per_entry) 0;
     entry_count;
-    items = Array.make (min capacity_items 64) { ikey = Ikey.make "" ~seq:0L; value = "" };
+    items = Array.make (min capacity_items 64) empty_item;
     item_count = 0;
     capacity_items;
     byte_size = 0;
@@ -44,10 +51,7 @@ let entry_of t user_key =
 let grow_items t =
   let cap = Array.length t.items in
   if t.item_count = cap then begin
-    let bigger =
-      Array.make (min t.capacity_items (max 64 (cap * 2)))
-        { ikey = Ikey.make "" ~seq:0L; value = "" }
-    in
+    let bigger = Array.make (min t.capacity_items (max 64 (cap * 2))) empty_item in
     Array.blit t.items 0 bigger 0 cap;
     t.items <- bigger
   end
@@ -122,9 +126,11 @@ let find_with_seq t user_key ~snapshot =
   scan (slots_per_entry - 1)
 
 let to_sorted_entries t =
-  let arr = Array.init t.item_count (fun i -> t.items.(i)) in
+  let arr = Array.sub t.items 0 t.item_count in
   Array.sort (fun a b -> Ikey.compare a.ikey b.ikey) arr;
-  Array.map (fun it -> (it.ikey, it.value)) arr
+  let entries = Array.make t.item_count no_entry in
+  Array.iteri (fun i it -> entries.(i) <- (it.ikey, it.value)) arr;
+  entries
 
 let count t = t.item_count
 

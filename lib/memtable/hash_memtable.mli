@@ -28,6 +28,11 @@ val find_with_seq :
   (Wip_util.Ikey.kind * string * int64) option
 (** {!find} that also reports the matched version's sequence number. *)
 
+val no_entry : Wip_util.Ikey.t * string
+(** A long-lived filler for entry arrays: [Array.make] of more than 256
+    slots with a filler still in the minor heap forces a stop-the-world
+    minor collection. *)
+
 val to_sorted_entries : t -> (Wip_util.Ikey.t * string) array
 (** Sort-on-demand: copies the arena into a fresh buffer sorted by internal
     key (the paper's one-time-use buffer for range search / flush). The

@@ -258,8 +258,32 @@ let qcheck_hash_vs_skiplist =
           = Memtable.find s key ~snapshot:Int64.max_int)
         ops)
 
+(* A scan reaching a bucket sorts its memtable. With more than 256 entries,
+   building the sorted array must not force a minor collection — each one
+   stops every domain. Entries are fresh (young) when the array is built,
+   which is when an [Array.make]/[Array.init] with a young filler forces
+   one. *)
+let test_sorted_entries_no_forced_minor () =
+  List.iter
+    (fun structure ->
+      Gc.minor ();
+      let mt =
+        Memtable.create ~structure ~capacity_items:1000 ~capacity_bytes:(1 lsl 30)
+      in
+      for i = 0 to 999 do
+        ignore (Memtable.try_add mt (ik (Printf.sprintf "k%04d" (i * 7919 mod 1000)) (i + 1)) "v")
+      done;
+      let before = (Gc.quick_stat ()).Gc.minor_collections in
+      let entries = Memtable.sorted_entries mt in
+      let after = (Gc.quick_stat ()).Gc.minor_collections in
+      Alcotest.(check int) "entries" 1000 (Array.length entries);
+      Alcotest.(check int) "minor collections while sorting" 0 (after - before))
+    [ Memtable.Hash; Memtable.Sorted ]
+
 let suite =
   [
+    Alcotest.test_case "sorted entries force no minor GC" `Quick
+      test_sorted_entries_no_forced_minor;
     Alcotest.test_case "skiplist basic" `Quick test_skiplist_basic;
     Alcotest.test_case "skiplist versions" `Quick
       test_skiplist_versions_and_snapshots;
